@@ -157,7 +157,7 @@ class Morphism:
                           name=name or f"fixedpoint({a})")
 
     def _line_evaluator(self, a: int):
-        """Batch digit walk along an arithmetic line.
+        """Batch digit walk at start + ell*step for an increasing ells array.
 
         Leading zero digits map a to a (prolongability), so every position
         can be padded to the depth of the largest coordinate and the walk
@@ -167,19 +167,18 @@ class Morphism:
         dims = self.dims
         strides = self._strides
 
-        def lb(start: Vector, step: Vector, count: int) -> list[int]:
-            if count <= 0:
+        def lb(start: Vector, step: Vector, ells: np.ndarray) -> list[int]:
+            if not len(ells):
                 return []
-            top = max(s + t * (count - 1) for s, t in zip(start, step))
+            top = max(s + t * int(ells[-1]) for s, t in zip(start, step))
             if min(start) < 0 or min(step) < 0 or top >= 1 << 40:
-                ev = lambda p: self.letter_in_fixed_point(a, p)
-                return [ev(vec_add(start, vec_scale(step, i))) for i in range(count)]
-            idx = np.arange(count, dtype=np.int64)
-            coords = [s + t * idx for s, t in zip(start, step)]
+                return [self.letter_in_fixed_point(a, vec_add(start, vec_scale(step, ell)))
+                        for ell in ells.tolist()]
+            coords = [s + t * ells for s, t in zip(start, step)]
             depth = max(_ndigits(top, s) for s in dims)
-            letters = np.full(count, a, dtype=np.int64)
+            letters = np.full(len(ells), a, dtype=np.int64)
             for j in range(depth - 1, -1, -1):
-                off = np.zeros(count, dtype=np.int64)
+                off = np.zeros(len(ells), dtype=np.int64)
                 for axis, c in enumerate(coords):
                     off += (c // dims[axis] ** j) % dims[axis] * strides[axis]
                 letters = img[letters, off]
@@ -196,15 +195,6 @@ class Morphism:
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.dims))
         return f"Morphism(k={self.alphabet_size}, {shape})"
-
-
-def check_prolongable(m: Morphism, a: int) -> bool:
-    return m.is_prolongable(a)
-
-
-def morphic_letter(m: Morphism, a: int, p: Sequence[int]) -> int:
-    """Letter of the fixed point of m on a at position p."""
-    return m.letter_in_fixed_point(a, p)
 
 
 def morphic_prefix(m: Morphism, a: int, n: int) -> FiniteWord:
@@ -272,10 +262,6 @@ def fibonacci_word(n: int) -> int:
             grown.extend((0, 1) if b == 0 else (0,))
         _fib_cache = grown
     return _fib_cache[n]
-
-
-def fibonacci_word_source() -> WordSource:
-    return WordSource(1, 2, lambda p: fibonacci_word(p[0]), name="fibonacci")
 
 
 def gcd_word(u: WordSource, d: int) -> WordSource:

@@ -12,6 +12,8 @@ import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DegenerateDirection, DimensionError
 
 Vector = tuple[int, ...]
@@ -142,17 +144,20 @@ class FiniteWord:
 class WordSource:
     """An infinite word w: N^d -> A behind a pure evaluator.
 
-    ``line_builder``, when given, batch-evaluates ``count`` letters along an
-    arithmetic line; sources with cheap incremental state (rotations) use it
-    to avoid per-position recomputation.  Evaluators must be deterministic;
-    internal memoization is allowed but invisible.
+    ``line_builder``, when given, batch-evaluates letters along an
+    arithmetic line: ``line_builder(start, step, ells)`` returns the letters
+    at start + ell*step for an increasing int64 array ``ells`` of
+    multipliers.  Sources with cheap vectorised state (rotation orbits,
+    morphic digit walks) use it instead of one evaluator call per position.
+    Evaluators must be deterministic; internal memoization is allowed but
+    invisible.
     """
 
     __slots__ = ("dimension", "alphabet_size", "_evaluator", "_line_builder", "name")
 
     def __init__(self, dimension: int, alphabet_size: int,
                  evaluator: Callable[[Vector], int],
-                 line_builder: Callable[[Vector, Vector, int], Sequence[int]] | None = None,
+                 line_builder: Callable[[Vector, Vector, np.ndarray], Sequence[int]] | None = None,
                  name: str = "word"):
         self.dimension = dimension
         self.alphabet_size = alphabet_size
@@ -165,20 +170,26 @@ class WordSource:
         _check_dims(self.dimension, len(p))
         return self._evaluator(p)
 
-    def letters_along(self, start: Sequence[int], step: Sequence[int], count: int) -> list[int]:
-        """Letters at start, start+step, ..., start+(count-1)*step."""
+    def letters_along(self, start: Sequence[int], step: Sequence[int],
+                      multipliers: int | Sequence[int]) -> list[int]:
+        """Letters at start + ell*step for each multiplier ell.
+
+        ``multipliers`` is a count n (ell = 0, ..., n-1) or an increasing
+        sequence of nonnegative ells; words without a line builder are read
+        pointwise at exactly those positions.
+        """
         start = tuple(start)
         step = tuple(step)
         _check_dims(self.dimension, len(start), len(step))
+        if isinstance(multipliers, (int, np.integer)):
+            ells = np.arange(multipliers, dtype=np.int64)
+        else:
+            ells = np.asarray(multipliers, dtype=np.int64)
         if self._line_builder is not None:
-            return list(self._line_builder(start, step, count))
+            return list(self._line_builder(start, step, ells))
         ev = self._evaluator
-        out = []
-        pos = start
-        for _ in range(count):
-            out.append(ev(pos))
-            pos = vec_add(pos, step)
-        return out
+        return [ev(tuple(s + t * ell for s, t in zip(start, step)))
+                for ell in ells.tolist()]
 
     def __repr__(self) -> str:
         return f"WordSource({self.name}, d={self.dimension}, k={self.alphabet_size})"
@@ -206,7 +217,7 @@ def translate_origin(w: WordSource, p: Sequence[int]) -> WordSource:
     lb = None
     if w._line_builder is not None:
         base_lb = w._line_builder
-        lb = lambda start, step, count: base_lb(vec_add(start, p), step, count)
+        lb = lambda start, step, ells: base_lb(vec_add(start, p), step, ells)
     return WordSource(w.dimension, w.alphabet_size,
                       lambda i: ev(vec_add(i, p)),
                       line_builder=lb,

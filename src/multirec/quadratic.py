@@ -176,7 +176,16 @@ class QuadExt:
     # ---- floor / fractional part ---------------------------------------
 
     def to_float(self) -> float:
-        return sum(float(c) * math.sqrt(rad) for rad, c in self._coeffs.items())
+        """The value to within 2^-64 per radicand plus one rounding, from
+        the integer enclosure ``sign`` uses; summing float terms instead
+        loses ~1e-7 to cancellation once coefficients reach 1e9."""
+        if self.is_rational():
+            return float(self._coeffs.get(1, 0))
+        denom = math.lcm(*(c.denominator for c in self._coeffs.values()))
+        terms = [(rad, int(c * denom)) for rad, c in self._coeffs.items()]
+        p = 64 + max(abs(num) for _, num in terms).bit_length()
+        total = sum(num * math.isqrt(rad << 2 * p) for rad, num in terms)
+        return total / (denom << p)
 
     def floor(self) -> int:
         if self.is_rational():

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lattice import Vector, WordSource, vec_add, vec_scale, iter_box
+from .lattice import Vector, WordSource, vec_add, iter_box
 from .residues import iter_coprime_directions
 
 BOUNDED_WITNESSED = "BOUNDED_WITNESSED"
@@ -106,33 +106,19 @@ def occurrence_indices(
 ) -> list[int]:
     """All ell <= horizon where the block at origin reappears at origin + ell*q.
 
-    ell = 0 is always reported.  The scan walks one line per cell of the
-    block, but cells after the first are only consulted at multipliers that
-    survived earlier cells, so a mismatching first cell is cheap.
+    ell = 0 is always reported.  Each cell of the block is read once along
+    its line, only at the multipliers that survived the cells before it;
+    its letter at ell = 0, which always survives, is the target.
     """
     q = tuple(direction)
-    s = tuple(size)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
-    offsets = list(iter_box(s))
-    ref = [w.letter(vec_add(p0, o)) for o in offsets]
-
-    line = w.letters_along(vec_add(p0, offsets[0]), q, horizon + 1)
-    target = ref[0]
-    alive = [ell for ell in range(horizon + 1) if line[ell] == target]
-    for o, target in zip(offsets[1:], ref[1:]):
-        if not alive:
+    alive = np.arange(horizon + 1, dtype=np.int64)
+    for o in iter_box(tuple(size)):
+        if len(alive) == 1:
             break
-        start = vec_add(p0, o)
-        if 2 * len(alive) >= horizon:
-            line = w.letters_along(start, q, horizon + 1)
-            alive = [ell for ell in alive if line[ell] == target]
-        else:
-            alive = [
-                ell
-                for ell in alive
-                if w.letter(vec_add(start, vec_scale(q, ell))) == target
-            ]
-    return alive
+        line = np.asarray(w.letters_along(vec_add(p0, o), q, alive))
+        alive = alive[line == line[0]]
+    return alive.tolist()
 
 
 def _claim_value(claim: Claim, size: Vector) -> int | None:

@@ -7,10 +7,11 @@ zero; a wrapping component splits in two.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyVisit, NotFound
 from .lattice import FiniteWord, Vector, WordSource
@@ -22,9 +23,9 @@ UPPER = "upper"   # intervals (a, b], partition of (0, 1]
 _ZERO = QuadExt()
 _ONE = QuadExt.rational(1)
 
-# Float orbit walks resync against exact arithmetic every _RESYNC steps, so
-# the drift (a few ulp per step) stays far below the _GUARD band inside
-# which points are re-decided exactly.
+# The float orbit (_orbit) resyncs against exact arithmetic every _RESYNC
+# steps, so the drift (a few ulp per step) stays far below the _GUARD band
+# inside which points are re-decided exactly.
 _RESYNC = 4096
 _GUARD = 1e-9
 
@@ -249,32 +250,46 @@ class RotationWordSpec:
 
     def word(self) -> WordSource:
         part = self.partition
+        cuts = np.array([c.to_float() for c in part.cuts])
+        edges = [0.0, 1.0, *cuts.tolist()]
+        labels = np.array(part.labels, dtype=np.int64)
 
-        def line(start: Vector, step: Vector, count: int) -> list[int]:
+        def line(start: Vector, step: Vector, ells: np.ndarray) -> list[int]:
             x0 = self.point(start)
             delta = self.angle_along(step)
-            cuts = [c.to_float() for c in part.cuts]
-            edges = [0.0, 1.0] + cuts
-            labels = part.labels
-            d = delta.to_float()
-            out = []
-            x = x0.to_float()
-            for ell in range(count):
-                if ell % _RESYNC == 0:
-                    x = (x0 + delta * ell).mod1().to_float()
-                if any(abs(x - e) < _GUARD for e in edges):
-                    out.append(part.letter_at((x0 + delta * ell).mod1()))
-                else:
-                    # strictness at the cut is immaterial outside the guard band
-                    out.append(labels[bisect.bisect_right(cuts, x)])
-                x += d
-                if x >= 1.0:
-                    x -= 1.0
-            return out
+            x, near = _orbit(x0, delta, ells, edges)
+            # strictness at the cut is immaterial outside the guard band
+            out = labels[np.searchsorted(cuts, x, side="right")]
+            for i in np.flatnonzero(near).tolist():
+                out[i] = part.letter_at((x0 + delta * int(ells[i])).mod1())
+            return out.tolist()
 
         alphabet = max(part.labels) + 1
         return WordSource(self.dimension, alphabet, self.letter,
                           line_builder=line, name="rotation")
+
+
+def _orbit(x0: QuadExt, delta: QuadExt, ells: np.ndarray,
+           edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Float orbit points (x0 + ell*delta) mod 1 at increasing multipliers,
+    and a mask of those within _GUARD of an edge, which callers decide
+    exactly.
+
+    Each point is base_k + (ell - k*_RESYNC)*delta with base_k the exact
+    point at k = ell // _RESYNC, so float drift never builds up past
+    _RESYNC steps.
+    """
+    ks = ells // _RESYNC
+    first = np.flatnonzero(np.diff(ks, prepend=-1))
+    bases = np.array([(x0 + delta * (k * _RESYNC)).mod1().to_float()
+                      for k in ks[first].tolist()])
+    x = np.repeat(bases, np.diff(first, append=len(ks)))
+    x += (ells - ks * _RESYNC) * delta.to_float()
+    x -= np.floor(x)
+    near = np.zeros(len(x), dtype=bool)
+    for e in edges:
+        near |= np.abs(x - e) < _GUARD
+    return x, near
 
 
 def sturmian_spec(labels: Sequence[int] | None = None) -> RotationWordSpec:
@@ -314,36 +329,26 @@ def three_gap_analysis(delta: QuadExt, interval: IntervalSet, horizon: int) -> s
     the interval set.  The three-distance theorem caps the answer at 3 for
     irrational delta.
 
-    The orbit walk runs on floats, resynced against exact arithmetic every
-    _RESYNC steps so the accumulated drift stays orders of magnitude below
-    _GUARD; any point that close to a component edge (or to the 0/1 seam)
-    is decided exactly instead.
+    The orbit runs on floats (``_orbit``); any point within _GUARD of a
+    component edge or of the 0/1 seam is decided exactly instead.
     """
     if delta.is_rational():
         raise ValueError("three-gap analysis needs an irrational angle")
     comps = [(lo.to_float(), hi.to_float()) for lo, hi in interval.components]
-    edges = [0.0, 1.0] + [e for c in comps for e in c]
-    lower = interval.orientation == LOWER
-    d = delta.to_float()
-    visits = []
-    x = 0.0
-    for ell in range(horizon + 1):
-        if ell % _RESYNC == 0:
-            x = (delta * ell).mod1().to_float()
-        if any(abs(x - e) < _GUARD for e in edges):
-            inside = interval.contains((delta * ell).mod1())
-        elif lower:
-            inside = any(lo <= x < hi for lo, hi in comps)
+    ells = np.arange(horizon + 1, dtype=np.int64)
+    x, near = _orbit(_ZERO, delta, ells, [0.0, 1.0, *(e for c in comps for e in c)])
+    inside = np.zeros(len(x), dtype=bool)
+    for lo, hi in comps:
+        if interval.orientation == LOWER:
+            inside |= (lo <= x) & (x < hi)
         else:
-            inside = any(lo < x <= hi for lo, hi in comps)
-        if inside:
-            visits.append(ell)
-        x += d
-        if x >= 1.0:
-            x -= 1.0
-    if not visits:
+            inside |= (lo < x) & (x <= hi)
+    for ell in np.flatnonzero(near).tolist():
+        inside[ell] = interval.contains((delta * ell).mod1())
+    visits = np.flatnonzero(inside)
+    if not len(visits):
         raise EmptyVisit(f"no orbit point in the set within {horizon} steps")
-    gaps = {b - a for a, b in zip(visits, visits[1:])}
+    gaps = set(np.diff(visits).tolist())
     assert len(gaps) <= 3, f"three-gap theorem violated: {sorted(gaps)}"
     return gaps
 

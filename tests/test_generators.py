@@ -28,7 +28,7 @@ from multirec.generators import (
     toeplitz_rows_word,
     urd_not_ur_construct,
 )
-from multirec.lattice import FiniteWord, factor_at, iter_box, vec_scale
+from multirec.lattice import FiniteWord, factor_at, iter_box, vec_add, vec_scale
 
 
 def test_thue_morse_prefix():
@@ -122,6 +122,37 @@ def test_preset_letters_match_prefix_expansion(name, x, y):
     if x < block.size[0] and y < block.size[1]:
         w = preset_word(name)
         assert w.letter((x, y)) == block[(x, y)]
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """Random square morphisms, k <= 3, s in {2, 3}, d in {1, 2}, whose
+    image of 0 starts with 0."""
+    k = draw(st.integers(1, 3))
+    s = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([1, 2]))
+    n = s**d
+    images = [draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+              for _ in range(k)]
+    images[0][0] = 0
+    return Morphism([FiniteWord((s,) * d, cells) for cells in images])
+
+
+@given(prolongable_morphisms(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_digit_walk_matches_pointwise_letters_across_the_fallback(m, data):
+    """Lines whose top coordinate straddles 1 << 40, where the numpy digit
+    walk hands over to the pointwise one."""
+    d = m.dimension
+    start = tuple(data.draw(st.integers((1 << 40) - 64, (1 << 40) + 8) | st.integers(0, 99))
+                  for _ in range(d))
+    step = tuple(data.draw(st.integers(0, 3)) for _ in range(d))
+    ells = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    w = m.fixed_point(0)
+    expected = [m.letter_in_fixed_point(0, vec_add(start, vec_scale(step, ell)))
+                for ell in ells]
+    assert w.letters_along(start, step, ells) == expected
+    assert [w.letter(vec_add(start, vec_scale(step, ell))) for ell in ells] == expected
 
 
 def test_prefix_nesting():

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multirec.generators import (
+    SEEDED_RANDOM,
+    ToeplitzSchedule,
     gcd_word,
     fib_rows_word,
     preset_word,
     thue_morse_word,
+    toeplitz_construct,
     toeplitz_rows_word,
 )
-from multirec.lattice import WordSource
+from multirec.lattice import WordSource, factor_at, vec_add, vec_scale
 from multirec.recurrence import (
     BOUNDED_WITNESSED,
     GAP_EXCEEDS_CLAIM,
@@ -27,6 +31,7 @@ from multirec.recurrence import (
     sample_grid,
     smallest_covering_window,
 )
+from multirec.rotation import sturmian_spec
 
 
 def beacons(period: int) -> WordSource:
@@ -81,6 +86,28 @@ def test_origin_changes_the_scanned_block():
     w = preset_word("surd-not-ssurdo-2x2")
     occ = occurrence_indices(w, (1, 0), (1, 1), origin=(7, 3), horizon=100)
     assert occ[:2] == [0, 13]
+
+
+WORDS = {
+    "rotation": lambda: sturmian_spec().word(),
+    "morphic-2x2": lambda: preset_word("surd-not-ssurdo-2x2"),
+    "morphic-3x3": lambda: preset_word("ssurdo-3x3"),
+    "toeplitz": lambda: toeplitz_construct(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORDS))
+@given(q=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+       size=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       origin=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+@settings(max_examples=20, deadline=None)
+def test_occurrence_indices_match_a_naive_block_compare(name, q, size, origin):
+    w = WORDS[name]()
+    horizon = 60
+    block = factor_at(w, origin, size)
+    naive = [ell for ell in range(horizon + 1)
+             if factor_at(w, vec_add(origin, vec_scale(q, ell)), size) == block]
+    assert occurrence_indices(w, q, size, origin, horizon) == naive
 
 
 def test_sierpinski_first_case4_direction_never_recurs():

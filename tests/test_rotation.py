@@ -3,11 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multirec.errors import NotFound
 from multirec.lattice import FiniteWord, factor_at
 from multirec.quadratic import QuadExt
 from multirec.rotation import (
+    _GUARD,
     LOWER,
     UPPER,
     IntervalPartition,
@@ -62,11 +64,79 @@ def test_sturmian_first_letters():
     assert spec.letter((0, 1)) == 2
 
 
-def test_line_builder_agrees_with_pointwise_letters():
-    w = sturmian_spec().word()
-    fast = w.letters_along((2, 1), (1, 3), 40)
-    slow = [w.letter((2 + i, 1 + 3 * i)) for i in range(40)]
-    assert fast == slow
+# Increasing multipliers that straddle the float orbit's exact resyncs.
+_multipliers = st.lists(
+    st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8191, 8192, 8193]) | st.integers(0, 9000),
+    min_size=1, max_size=12, unique=True,
+).map(sorted)
+_steps = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(any)
+
+
+def _exact_letters(spec, start, step, ells):
+    return [spec.letter((start[0] + ell * step[0], start[1] + ell * step[1]))
+            for ell in ells]
+
+
+@given(st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)), _steps, _multipliers)
+@settings(max_examples=60, deadline=None)
+def test_letters_along_matches_exact_letters_at_sparse_multipliers(start, step, ells):
+    spec = sturmian_spec()
+    assert spec.word().letters_along(start, step, ells) == _exact_letters(spec, start, step, ells)
+
+
+def _convergent_denominators(alpha: QuadExt, count: int) -> list[int]:
+    """Denominators n of alpha's continued-fraction convergents: n*alpha
+    lies within 1/n of an integer."""
+    out, prev, cur, x = [], 1, 0, alpha
+    for _ in range(count):
+        a = x.floor()
+        prev, cur = cur, a * cur + prev
+        out.append(cur)
+        # 1/(b + c*sqrt(n)) = (b - c*sqrt(n)) / (b^2 - n*c^2)
+        (_, b), (n, c) = sorted(({1: Fraction(0)} | (x - a).coefficients()).items())
+        x = (QuadExt.rational(b) - QuadExt.sqrt(n, c)) / (b * b - n * c * c)
+    return out
+
+
+def _near_edge_starts() -> list[tuple[int, int]]:
+    """Starts whose orbit point lies just off the cut alpha_1 or the 0/1
+    seam: (n, 0) and (n + 1, 0) for convergents n of alpha_1, (0, m) and
+    (1, m) for convergents m of alpha_2, up to 1e9."""
+    a1, a2 = sturmian_spec().alpha
+    xs = [n for n in _convergent_denominators(a1, 30) if n < 10**9]
+    ys = [m for m in _convergent_denominators(a2, 40) if m < 10**9]
+    return sorted({(n + j, 0) for n in xs for j in (0, 1)}
+                  | {(j, m) for m in ys for j in (0, 1)})
+
+
+NEAR_EDGE_STARTS = _near_edge_starts()
+
+
+def test_near_edge_starts_reach_the_guard_band():
+    spec = sturmian_spec()
+    edges = (QuadExt.rational(0), QuadExt.rational(1), *spec.partition.cuts)
+    dist = [min(abs((spec.point(p) - e).to_float()) for e in edges)
+            for p in NEAR_EDGE_STARTS]
+    assert sum(d < _GUARD for d in dist) >= 4
+
+
+@given(st.sampled_from(NEAR_EDGE_STARTS), st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+       _multipliers, st.sampled_from([LOWER, UPPER]))
+@settings(max_examples=80, deadline=None)
+def test_letters_along_matches_exact_letters_near_a_cut(start, step, ells, orientation):
+    base = sturmian_spec()
+    spec = RotationWordSpec(base.alpha, base.rho,
+                            IntervalPartition(base.partition.cuts, orientation=orientation))
+    assert spec.word().letters_along(start, step, ells) == _exact_letters(spec, start, step, ells)
+
+
+@pytest.mark.parametrize("start", [(93222359, 0), (543339721, 0)])
+@pytest.mark.parametrize("step", [(1, 0), (0, 1), (1, 1)])
+def test_far_convergent_starts_read_their_exact_letters(start, step):
+    """Both starts lie within 1e-7 of the cut, closer than a float sum of
+    the terms of their exact orbit point can resolve."""
+    spec = sturmian_spec()
+    assert spec.word().letters_along(start, step, 3) == _exact_letters(spec, start, step, range(3))
 
 
 def test_horizontal_pair_intervals_predict_sampled_occurrences():
