@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .derive import PER_DIRECTION, UNIFORM, derivative_per_direction, derivative_uniform
-from .derive import UNDEFINED, directional_blocks
+from .derive import UNIFORM, derivative_per_direction, derivative_uniform, directional_blocks
 from .errors import (
     FixtureMissing,
     MultirecError,
@@ -45,7 +45,7 @@ from .recurrence import (
     check_ur_empirical,
     check_urd_empirical,
 )
-from .render import FORMATS, TEXT, RenderSpec, render_rows, sample_rows
+from .render import FORMATS, TEXT, UNDEFINED, RenderSpec, render_rows, sample_rows
 from .residues import family_c
 from .rotation import sturmian_spec
 
@@ -54,6 +54,9 @@ CHECK_FAILED_EXIT = 2
 BUDGET_EXIT = 3
 
 _JSON_SEP = (",", ": ")
+
+# Most letters one generate or extract run may read; larger reads are refused.
+_MAX_LETTERS = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +136,11 @@ def load_morphism_arg(args) -> Morphism:
         return morphism_from_json(json.load(fh))
 
 
+def _check_read_size(what: str, letters: int) -> None:
+    if letters > _MAX_LETTERS:
+        raise _Usage(f"{what} reads more than the limit of {_MAX_LETTERS} letters")
+
+
 def block_text(block: FiniteWord) -> str:
     """[top/.../bottom] with rows read left to right, matching the grid
     orientation of the text renderer."""
@@ -164,6 +172,8 @@ def cmd_generate(args) -> int:
         if args.box is not None:
             raise _Usage("--box and --iterate are mutually exclusive")
         phi = load_morphism_arg(args)
+        # capped exponent: a huge --iterate is refused, not computed
+        _check_read_size(f"--iterate {args.iterate}", math.prod(phi.dims) ** min(args.iterate, 64))
         grid = phi.iterate(args.letter, args.iterate)
         rows = sample_rows(grid, grid.size)
         emit(render_rows(rows, max(len(phi.images), 2), spec), args.output)
@@ -177,6 +187,7 @@ def cmd_generate(args) -> int:
         w = resolve_word(args.word, seed=args.seed)
     if len(box) != w.dimension:
         raise _Usage(f"box {args.box} has wrong dimension for this word")
+    _check_read_size(f"--box {args.box}", math.prod(box))
     rows = sample_rows(w, box)
     emit(render_rows(rows, w.alphabet_size, spec), args.output)
     return 0
@@ -187,6 +198,7 @@ def cmd_extract(args) -> int:
     w = resolve_word(name, seed=args.seed)
     direction = parse_vector(args.dir)
     size = parse_box(args.size)
+    _check_read_size(f"--len {args.len} of size {args.size}", args.len * math.prod(size))
     if args.origin:
         w = translate_origin(w, parse_vector(args.origin))
     blocks = directional_blocks(w, direction, size, args.len)

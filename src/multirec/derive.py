@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ReturnScanFailed
-from .lattice import FiniteWord, Vector, WordSource, factor_at, iter_box, vec_scale
+from .lattice import FiniteWord, Vector, WordSource, iter_box
 from .recurrence import occurrence_indices
+from .render import UNDEFINED
 
 PER_DIRECTION = "PER_DIRECTION"
 UNIFORM = "UNIFORM"
-
-UNDEFINED = -1
 
 # A return word: consecutive directional blocks from one occurrence of the
 # prefix block up to (excluding) the next.
@@ -55,9 +54,11 @@ class CodeTable:
 def directional_blocks(
     w: WordSource, direction: Sequence[int], size: Sequence[int], count: int
 ) -> list[FiniteWord]:
-    q = tuple(direction)
+    """The blocks of the given size at ell*q for ell < count.  Each block
+    cell is read once along q."""
     s = tuple(size)
-    return [factor_at(w, vec_scale(q, ell), s) for ell in range(count)]
+    columns = [w.letters_along(o, direction, count) for o in iter_box(s)]
+    return [FiniteWord(s, cells) for cells in zip(*columns)]
 
 
 def return_words_along(
@@ -119,35 +120,20 @@ class DerivativeWord:
     codes: tuple[int, ...]
     words: tuple[ReturnWordT | None, ...]
     tables: dict
+    _grid: FiniteWord = field(init=False, repr=False, compare=False)
 
-    def _flat(self, p: Sequence[int]) -> int:
-        idx = 0
-        stride = 1
-        for c, s in zip(p, self.box):
-            if not 0 <= c < s:
-                raise IndexError(f"{tuple(p)} outside box {self.box}")
-            idx += c * stride
-            stride *= s
-        return idx
+    def __post_init__(self):
+        object.__setattr__(self, "_grid", FiniteWord(self.box, self.codes))
 
     def code_at(self, p: Sequence[int]) -> int:
-        return self.codes[self._flat(p)]
+        return self._grid[p]
 
     def word_at(self, p: Sequence[int]) -> ReturnWordT | None:
-        return self.words[self._flat(p)]
+        return self.words[self._grid.flat_index(p)]
 
     def to_nested(self):
         """Nested lists, outer index = last coordinate (bottom row first)."""
-        def rec(axis: int, partial: Vector):
-            if axis == 0:
-                return [
-                    self.code_at((x, *partial)) for x in range(self.box[0])
-                ]
-            return [
-                rec(axis - 1, (y, *partial)) for y in range(self.box[axis])
-            ]
-
-        return rec(len(self.box) - 1, ())
+        return self._grid.to_nested()
 
     def code_classes(self) -> dict[ReturnWordT, frozenset]:
         """Positions grouped by underlying return word, origin excluded."""
@@ -279,19 +265,10 @@ def decode_line(
 
 
 def grids_agree_up_to_bijection(a: DerivativeWord, b: DerivativeWord) -> bool:
-    """Same box, same code-class partition, cell by cell."""
+    """Same box, same code-class partition, cell by cell: the code pairs
+    met in the same cells form a bijection that keeps UNDEFINED apart."""
     if a.box != b.box:
         return False
-    mapping: dict[int, int] = {}
-    reverse: dict[int, int] = {}
-    for p in iter_box(a.box):
-        ca, cb = a.code_at(p), b.code_at(p)
-        if (ca == UNDEFINED) != (cb == UNDEFINED):
-            return False
-        if ca == UNDEFINED:
-            continue
-        if mapping.setdefault(ca, cb) != cb:
-            return False
-        if reverse.setdefault(cb, ca) != ca:
-            return False
-    return True
+    pairs = set(zip(a.codes, b.codes))
+    return (len({ca for ca, _ in pairs}) == len(pairs) == len({cb for _, cb in pairs})
+            and all((ca == UNDEFINED) == (cb == UNDEFINED) for ca, cb in pairs))

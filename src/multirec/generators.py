@@ -1,6 +1,8 @@
 """Word sources: constant-size morphic fixed points, classical unidimensional
 words, the gcd-placement word, Toeplitz-style periodic fillings, and the
-greedy URD-not-UR construction."""
+greedy URD-not-UR construction.  Morphic fixed points have two digit walks,
+one per letter and one per line (see Morphism); ``Morphism.iterate``
+substitutes and walks no digits, so it is a reference for both."""
 
 from __future__ import annotations
 
@@ -33,9 +35,11 @@ class Morphism:
     """A constant-size substitution over the alphabet {0, ..., k-1}.
 
     Every letter maps to a block of the same size (s_1, ..., s_d); square
-    morphisms have all s_j equal.  Fixed points are evaluated digit by digit
-    (mixed radix s_j per coordinate, most significant digit first), so single
-    letters at positions around 2^40 stay cheap.
+    morphisms have all s_j equal.  Fixed points are read digit by digit
+    (mixed radix s_j, most significant first) by two walks: the pure-Python
+    ``letter_in_fixed_point``, exact at any coordinate size, for single
+    letters and as the tests' reference; and the numpy ``_line_evaluator``
+    for whole lines, which falls back to it from ``1 << 40`` on.
     """
 
     __slots__ = ("images", "dims", "_cells", "_strides")
@@ -106,24 +110,20 @@ class Morphism:
 
     def iterate(self, b: int, n: int) -> FiniteWord:
         """The n-th image of the letter b, a block of size (s_1^n, ..., s_d^n).
-        Does not require prolongability."""
+        Does not require prolongability.  Substitutes on a numpy grid with
+        the last coordinate first (C order is FiniteWord order): indexing the
+        images appends block axes, the transpose puts each next to its grid
+        axis, and the reshape merges them."""
         if n < 0:
             raise ValueError("negative iteration depth")
-        cells = self._cells
-        dims = self.dims
-        strides = self._strides
-        powers = [[s ** j for j in range(n)] for s in dims]
-
-        def fn(p: Vector) -> int:
-            letter = b
-            for j in range(n - 1, -1, -1):
-                off = 0
-                for axis, c in enumerate(p):
-                    off += (c // powers[axis][j] % dims[axis]) * strides[axis]
-                letter = cells[letter][off]
-            return letter
-
-        return FiniteWord.from_function(tuple(s ** n for s in dims), fn)
+        d = self.dimension
+        images = np.array(self._cells, dtype=np.int64).reshape(-1, *self.dims[::-1])
+        order = [i for axis in range(d) for i in (axis, axis + d)]
+        grid = np.full((1,) * d, b, dtype=np.int64)
+        for _ in range(n):
+            shape = [m * s for m, s in zip(grid.shape, images.shape[1:])]
+            grid = images[grid].transpose(order).reshape(shape)
+        return FiniteWord(tuple(s ** n for s in self.dims), grid.ravel().tolist())
 
     def power(self, i: int) -> "Morphism":
         """The morphism b -> iterate(b, i), of size (s_1^i, ..., s_d^i)."""
@@ -141,18 +141,8 @@ class Morphism:
     def fixed_point(self, a: int, name: str | None = None) -> WordSource:
         if not self.is_prolongable(a):
             raise NotProlongable(f"image of {a} does not start with {a}")
-        if self.dims == (2, 2):
-            cells = self._cells
-
-            def ev(p: Vector) -> int:
-                x, y = p
-                letter = a
-                for i in range(max(x.bit_length(), y.bit_length()) - 1, -1, -1):
-                    letter = cells[letter][(x >> i & 1) + (y >> i & 1) * 2]
-                return letter
-        else:
-            ev = lambda p: self.letter_in_fixed_point(a, p)
-        return WordSource(self.dimension, self.alphabet_size, ev,
+        return WordSource(self.dimension, self.alphabet_size,
+                          lambda p: self.letter_in_fixed_point(a, p),
                           line_builder=self._line_evaluator(a),
                           name=name or f"fixedpoint({a})")
 
@@ -250,18 +240,11 @@ def thue_morse_word() -> WordSource:
     return WordSource(1, 2, lambda p: thue_morse(p[0]), name="thue-morse")
 
 
-_fib_cache = bytearray(b"\x00")
-
-
 def fibonacci_word(n: int) -> int:
-    """n-th letter of the fixed point of 0 -> 01, 1 -> 0."""
-    global _fib_cache
-    while len(_fib_cache) <= n:
-        grown = bytearray()
-        for b in _fib_cache:
-            grown.extend((0, 1) if b == 0 else (0,))
-        _fib_cache = grown
-    return _fib_cache[n]
+    """n-th letter of the fixed point of 0 -> 01, 1 -> 0: the Sturmian
+    g(n + 2) - g(n + 1) with g(k) = floor(k (3 - sqrt 5) / 2), in integers."""
+    g = lambda k: (3 * k - math.isqrt(5 * k * k) - 1) // 2
+    return g(n + 2) - g(n + 1)
 
 
 def gcd_word(u: WordSource, d: int) -> WordSource:

@@ -144,6 +144,11 @@ class FiniteWord:
 class WordSource:
     """An infinite word w: N^d -> A behind a pure evaluator.
 
+    Every multi-letter read (blocks along a direction, grid rows, boxes,
+    line scans) goes through ``letters_along``.  ``letter`` and
+    ``factor_at`` read pointwise through the evaluator; they are the exact
+    references the batched reads are tested against.
+
     ``line_builder``, when given, batch-evaluates letters along an
     arithmetic line: ``line_builder(start, step, ells)`` returns the letters
     at start + ell*step for an increasing int64 array ``ells`` of
@@ -187,9 +192,9 @@ class WordSource:
             ells = np.asarray(multipliers, dtype=np.int64)
         if self._line_builder is not None:
             return list(self._line_builder(start, step, ells))
-        ev = self._evaluator
-        return [ev(tuple(s + t * ell for s, t in zip(start, step)))
-                for ell in ells.tolist()]
+        ells = ells.tolist()
+        axes = [[s + t * ell for ell in ells] for s, t in zip(start, step)]
+        return list(map(self._evaluator, zip(*axes)))
 
     def __repr__(self) -> str:
         return f"WordSource({self.name}, d={self.dimension}, k={self.alphabet_size})"

@@ -23,8 +23,8 @@ from .errors import (
     NotProlongable,
 )
 from .generators import Morphism, load_preset, thue_morse
-from .lattice import FiniteWord, Vector, iter_box, normalize_direction, vec_scale
-from .recurrence import RecurrenceBudget, check_urd_empirical
+from .lattice import FiniteWord, Vector, iter_box, normalize_direction
+from .recurrence import RecurrenceBudget, check_urd_empirical, sample_grid
 from .residues import family_c
 
 SURD = "SURD"
@@ -32,6 +32,9 @@ NOT_SURD = "NOT_SURD"
 
 ZERO_TAIL = "zero-tail"
 ZERO_RANGE = "zero-range"
+
+# A ZERO_RANGE witness reads 2**param - 1 letters; larger params are refused.
+_MAX_WITNESS_PARAM = 16
 
 
 @dataclass(frozen=True)
@@ -183,12 +186,11 @@ def check_non_recurrent_direction(
                 continue
             if phi.image(b)[i] == a:
                 return ConditionVerdict("non-recurrent-direction", False, (b, i))
-    w = phi.fixed_point(a)
-    for ell in range(1, horizon + 1):
-        if w.letter(vec_scale(q, ell)) == a:
-            raise ConstructionBug(
-                f"letter {a} reappeared at {ell} * {q} despite the condition"
-            )
+    line = phi.fixed_point(a).letters_along(origin, q, horizon + 1)
+    if a in line[1:]:
+        raise ConstructionBug(
+            f"letter {a} reappeared at {line.index(a, 1)} * {q} despite the condition"
+        )
     return ConditionVerdict("non-recurrent-direction", True)
 
 
@@ -255,15 +257,19 @@ class Witness2x2:
             return range(1, horizon + 1)
         if param is None:
             raise InvalidInput(f"case {self.case} needs a parameter")
+        _check_param(param)
         return range(1, (1 << param))
 
     def verify(self, phi: Morphism, param: int | None = None, horizon: int = 64) -> bool:
-        w = phi.fixed_point(1)
         q = self.direction(param)
-        return all(
-            w.letter(vec_scale(q, m)) == 0
-            for m in self.zero_multipliers(param, horizon)
-        )
+        line = phi.fixed_point(1).letters_along(
+            (0,) * len(q), q, self.zero_multipliers(param, horizon))
+        return not any(line)
+
+
+def _check_param(param: int) -> None:
+    if param > _MAX_WITNESS_PARAM:
+        raise InvalidInput(f"witness parameter {param} is above the limit of {_MAX_WITNESS_PARAM}")
 
 
 def non_surd_2x2_witness(phi: Morphism) -> Witness2x2:
@@ -363,15 +369,11 @@ def ssurdo_structure_check(j: int, phi: Morphism | None = None) -> bool:
     diff = [p for p in block0.positions() if block0[p] != block1[p]]
     if diff != [(top, top)]:
         return False
-    w = phi.fixed_point(1)
     side = 3 ** (j + 1)
-    for p in iter_box((side, side)):
-        r = (p[0] % 3, p[1] % 3)
-        if r == (2, 2):
-            continue
-        if w.letter(p) != w.letter(r):
-            return False
-    return True
+    grid = sample_grid(phi.fixed_point(1), (side, side))
+    same = grid.reshape(side // 3, 3, side // 3, 3) == grid[None, :3, None, :3]
+    same[:, 2, :, 2] = True
+    return bool(same.all())
 
 
 def all_2x2_morphisms() -> list[Morphism]:
@@ -417,6 +419,7 @@ def survey_all_2x2(
     """Classify all 128 candidate morphisms and validate each verdict
     experimentally.  Entries come back in enumeration order.
     """
+    _check_param(param)
     tasks = [
         (phi.image(0).cells, phi.image(1).cells, horizon, direction_bound, param)
         for phi in all_2x2_morphisms()

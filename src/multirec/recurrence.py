@@ -259,11 +259,13 @@ def check_ssurdo_empirical(
 
 
 def sample_grid(w: WordSource, shape: Sequence[int]) -> np.ndarray:
-    """Letters of w on the box [0, shape), indexed grid[x1, ..., xd]."""
+    """Letters of w on the box [0, shape), indexed grid[x1, ..., xd]; one
+    line read along the first axis per row."""
     shape = tuple(shape)
     grid = np.empty(shape, dtype=np.int64)
-    for p in iter_box(shape):
-        grid[p] = w.letter(p)
+    step = (1,) + (0,) * (len(shape) - 1)
+    for rest in iter_box(shape[1:]):
+        grid[(slice(None), *rest)] = w.letters_along((0, *rest), step, shape[0])
     return grid
 
 

@@ -42,14 +42,18 @@ Rows = "list[list[int]]"
 
 
 def sample_rows(w: WordSource | FiniteWord, box) -> list[list[int]]:
-    """Evaluate a word on [0,box) as bottom-first rows; only d <= 2."""
+    """Letters of a word or block on [0,box) as bottom-first rows, one line
+    read per row; only d <= 2.  A 1-D box, word or block gives one row."""
     box = tuple(box)
-    if len(box) == 1:
-        box = (box[0], 1)
-    if len(box) != 2:
+    if len(box) not in (1, 2):
         raise InvalidInput(f"grid rendering needs 1 or 2 dimensions, got {len(box)}")
-    look = w.letter if isinstance(w, WordSource) else w.__getitem__
-    return [[look((x, y)) for x in range(box[0])] for y in range(box[1])]
+    if w.dimension == 1 == len(box):
+        starts = [(0,)]
+    else:
+        starts = [(0, y) for y in range(box[1] if len(box) == 2 else 1)]
+    if isinstance(w, FiniteWord):
+        return [[w[(x, *p[1:])] for x in range(box[0])] for p in starts]
+    return [w.letters_along(p, (1, 0)[:len(p)], box[0]) for p in starts]
 
 
 def _cell_token(c: int) -> str:

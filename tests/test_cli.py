@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from multirec.cli import main
 from multirec.figures import _fixture
+from multirec.generators import Morphism
+from multirec.lattice import WordSource
 from multirec.render import read_grid_fixture, to_text
 
 # diagonal block sequence of the derivative example, as published
@@ -231,3 +235,36 @@ def test_no_command_is_usage(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_generate_one_dimensional_word(capsys):
+    code, out, _ = run(capsys, "generate", "--word", "thue-morse", "--box", "16")
+    assert code == 0
+    assert out == "0 1 1 0 1 0 0 1 1 0 0 1 0 1 1 0\n"
+
+
+def test_extract_one_dimensional_word(capsys):
+    code, out, _ = run(
+        capsys, "extract", "--word", "thue-morse", "--dir", "1", "--size", "2", "--len", "4",
+    )
+    assert code == 0
+    assert out == "[01][11][10][01]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--preset", "sierpinski", "--box", "100000x100000"],
+    ["generate", "--preset", "sierpinski", "--iterate", "1000000000"],
+    ["extract", "--word", "sturmian", "--dir", "1,1", "--size", "3x3", "--len", "1000000000"],
+    ["classify", "--all", "--param", "40", "--workers", "1"],
+], ids=["box", "iterate", "len", "param"])
+def test_oversized_reads_exit_1_before_reading(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a read started")
+
+    monkeypatch.setattr(WordSource, "letter", never)
+    monkeypatch.setattr(WordSource, "letters_along", never)
+    monkeypatch.setattr(Morphism, "iterate", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "the limit of" in err

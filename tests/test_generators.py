@@ -40,13 +40,36 @@ def test_thue_morse_prefix():
 
 
 def test_fibonacci_prefix_from_substitution():
-    """Expanding 0 -> 01, 1 -> 0 five times gives 0100101001001."""
+    """Expanding 0 -> 01, 1 -> 0 five times gives 0100101001001; 25 times
+    gives 196418 letters."""
     text = "0"
-    for _ in range(6):
+    for _ in range(25):
         text = text.replace("0", "a").replace("1", "0").replace("a", "01")
+    assert len(text) > 100_000
     assert [fibonacci_word(n) for n in range(len(text))] == [int(c) for c in text]
     assert [fibonacci_word(n) for n in range(9)] == [0, 1, 0, 0, 1, 0, 1, 0, 0]
     assert fibonacci_word(12) == 1
+
+
+def _zeckendorf_uses_one(n: int) -> bool:
+    """Whether the greedy sum of distinct Fibonacci numbers 1, 2, 3, 5, ...
+    that gives n uses the term 1."""
+    fibs = [1, 2]
+    while fibs[-1] <= n:
+        fibs.append(fibs[-1] + fibs[-2])
+    for f in reversed(fibs):
+        if f <= n:
+            n -= f
+            if f == 1:
+                return True
+    return False
+
+
+@given(st.integers(0, 300) | st.integers(10**9 - 10**6, 10**9 + 10**6)
+       | st.integers(0, 1 << 62))
+@settings(max_examples=300)
+def test_fibonacci_letters_follow_the_zeckendorf_rule(n):
+    assert fibonacci_word(n) == int(_zeckendorf_uses_one(n))
 
 
 def test_presets_all_load_and_are_binary():

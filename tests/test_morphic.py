@@ -4,7 +4,7 @@ import pytest
 
 from multirec.errors import CompositeSize, InvalidInput, NotApplicable
 from multirec.generators import Morphism, load_preset, preset_word, thue_morse
-from multirec.lattice import FiniteWord, iter_box, vec_scale
+from multirec.lattice import FiniteWord, WordSource, iter_box, vec_scale
 from multirec.morphic import (
     NOT_SURD,
     SURD,
@@ -23,6 +23,7 @@ from multirec.morphic import (
     reduction_claim,
     ssurdo_structure_check,
     survey_2x2_entry,
+    survey_all_2x2,
     thue_lemma_tm0,
     thue_lemma_tm1,
 )
@@ -279,3 +280,19 @@ def test_reduction_bound_holds_empirically():
                 claimed = s ** ceil_log(s, max(m)) * letter_gap
                 r = gap_report(w, q, m, horizon=3000, claim=claimed)
                 assert r.verdict == "BOUNDED_WITNESSED"
+
+
+def test_witness_parameter_above_the_limit_is_refused_unread(monkeypatch):
+    phi = next(m for m in all_2x2_morphisms()
+               if classify_2x2(m) == NOT_SURD and non_surd_2x2_witness(m).case == "case-4")
+    witness = non_surd_2x2_witness(phi)
+    assert witness.verify(phi, param=16)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a read started")
+
+    monkeypatch.setattr(WordSource, "letters_along", never)
+    with pytest.raises(InvalidInput, match="limit of 16"):
+        witness.verify(phi, param=40)
+    with pytest.raises(InvalidInput, match="limit of 16"):
+        survey_all_2x2(param=17, workers=1)
