@@ -13,12 +13,7 @@ import os
 import sys
 
 from .derive import UNIFORM, derivative_per_direction, derivative_uniform, directional_blocks
-from .errors import (
-    FixtureMissing,
-    MultirecError,
-    ReturnScanFailed,
-    ScheduleExhausted,
-)
+from .errors import FixtureMissing, MultirecError, ReturnScanFailed
 from .figures import verify_figures
 from .generators import (
     CONSTANT,
@@ -221,6 +216,8 @@ def cmd_check(args) -> int:
     w = resolve_word(args.preset or args.word, seed=args.seed)
     budget = parse_budget(args.budget) if args.budget else RecurrenceBudget()
     claim = args.claim
+    if claim is not None and args.mode == "ur":
+        raise _Usage("--claim bounds gaps in urd, surd and ssurdo modes; ur has none")
     failed = False
     lines = []
     payload: list[dict] = []
@@ -455,9 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scan-box", help="table collection extent (uniform only)")
     p.add_argument("--horizon", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
-    style = p.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true")
-    style.add_argument("--grid", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_derive)
 
@@ -481,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"multirec: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ScheduleExhausted, ReturnScanFailed) as exc:
+    except ReturnScanFailed as exc:
         print(f"multirec: budget exhausted: {exc}", file=sys.stderr)
         return BUDGET_EXIT
     except (_CheckFailed, FixtureMissing) as exc:

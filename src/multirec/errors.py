@@ -23,10 +23,6 @@ class ConstructionBug(MultirecError):
     different letters.  Must never happen; indicates a broken schedule."""
 
 
-class ScheduleExhausted(MultirecError):
-    """Raised when a greedy placement search exceeds its configured cap."""
-
-
 class NotCoprime(MultirecError):
     """Raised when a residue vector expected to have coprime coordinates
     does not."""

@@ -1,8 +1,8 @@
 """Word sources: constant-size morphic fixed points, classical unidimensional
-words, the gcd-placement word, Toeplitz-style periodic fillings, and the
-greedy URD-not-UR construction.  Morphic fixed points have two digit walks,
-one per letter and one per line (see Morphism); ``Morphism.iterate``
-substitutes and walks no digits, so it is a reference for both."""
+words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
+fixed points have two digit walks, one per letter and one per line (see
+Morphism); ``Morphism.iterate`` substitutes and walks no digits, so it is a
+reference for both."""
 
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConstructionBug, NotProlongable, ScheduleExhausted)
+from .errors import ConstructionBug, NotProlongable
 from .lattice import (FiniteWord, Vector, WordSource, iter_box, vec_add,
                       vec_scale)
-from .residues import iter_coprime_directions
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -139,6 +138,10 @@ class Morphism:
                          for img in self.images])
 
     def fixed_point(self, a: int, name: str | None = None) -> WordSource:
+        # A side of 1 never shrinks a coordinate, so the digit walks would
+        # not end; such a fixed point does not fill N^d anyway.
+        if min(self.dims) < 2:
+            raise ValueError(f"fixed points need every side >= 2, got size {self.dims}")
         if not self.is_prolongable(a):
             raise NotProlongable(f"image of {a} does not start with {a}")
         return WordSource(self.dimension, self.alphabet_size,
@@ -426,119 +429,3 @@ class ToeplitzWord:
 
 def toeplitz_construct(schedule: ToeplitzSchedule) -> WordSource:
     return ToeplitzWord(schedule).source()
-
-
-# ---------------------------------------------------------------------------
-# URD-not-UR greedy construction
-
-
-@dataclass(frozen=True)
-class UrdNotUrSchedule:
-    steps: int = 5
-    dimension: int = 2
-    seed: int | None = None       # None: complete prefixes with 0
-    horizon: int = 512            # side of the recorded box
-    search_cap: int = 1 << 20
-
-    def __post_init__(self):
-        if self.steps < 1 or self.dimension < 2 or self.horizon < 1:
-            raise ValueError("bad schedule")
-
-
-@dataclass
-class UrdNotUrArtifact:
-    """Best-effort finite artifact of the greedy construction: the recorded
-    box, the per-step direction constants, and the parked all-zero blocks.
-    The underlying result is a sketch; anything outside the box is unknown."""
-
-    schedule: UrdNotUrSchedule
-    cells: dict[Vector, int]
-    b_table: dict[tuple[int, Vector], int]
-    zero_blocks: list[tuple[int, Vector]]
-
-    def filled(self, p: Vector) -> bool:
-        return p in self.cells
-
-    def letter(self, p: Vector) -> int | None:
-        return self.cells.get(tuple(p))
-
-
-def urd_not_ur_construct(schedule: UrdNotUrSchedule) -> UrdNotUrArtifact:
-    """Greedy rendition of the URD-not-UR sketch.
-
-    Step 1 writes 1 at the origin.  Step n completes the prefix of size
-    (n,...,n), then for each coprime direction q with coordinates < n finds
-    the smallest b such that stamping the prefix at every multiple of b*q
-    agrees with all recorded cells, and finally parks an n^d block of zeros
-    in the closest untouched spot below the diagonal.
-    """
-    d = schedule.dimension
-    hor = schedule.horizon
-    cells: dict[Vector, int] = {(0,) * d: 1}
-    b_table: dict[tuple[int, Vector], int] = {}
-    zero_blocks: list[tuple[int, Vector]] = []
-
-    def fill_choice(step: int, pos: Vector) -> int:
-        if schedule.seed is None:
-            return 0
-        return _mix64(schedule.seed, step, *pos) % 2
-
-    for n in range(2, schedule.steps + 1):
-        box = (n,) * d
-        for i in iter_box(box):
-            if i not in cells:
-                cells[i] = fill_choice(n, i)
-        prefix = {i: cells[i] for i in iter_box(box)}
-
-        for q in iter_coprime_directions(d, n - 1):
-            b = 0
-            while True:
-                b += 1
-                if b > schedule.search_cap:
-                    raise ScheduleExhausted(f"no b for direction {q} at step {n}")
-                step_vec = vec_scale(q, b)
-                ok = True
-                ell = 1
-                while ok:
-                    base = vec_scale(step_vec, ell)
-                    if all(base[j] > hor for j in range(d) if q[j]):
-                        break
-                    for i, val in prefix.items():
-                        cell = vec_add(base, i)
-                        if cells.get(cell, val) != val:
-                            ok = False
-                            break
-                    ell += 1
-                if ok:
-                    break
-            b_table[(n, q)] = b
-            ell = 1
-            while True:
-                base = vec_scale(vec_scale(q, b), ell)
-                if all(base[j] > hor for j in range(d) if q[j]):
-                    break
-                for i, val in prefix.items():
-                    cells[vec_add(base, i)] = val
-                ell += 1
-
-        park = _find_free_block(cells, n, d, hor)
-        if park is None:
-            raise ScheduleExhausted(f"no free {n}^d block below the diagonal at step {n}")
-        for i in iter_box(box):
-            cells[vec_add(park, i)] = 0
-        zero_blocks.append((n, park))
-
-    return UrdNotUrArtifact(schedule, cells, b_table, zero_blocks)
-
-
-def _find_free_block(cells: dict[Vector, int], n: int, d: int, hor: int) -> Vector | None:
-    # closest-to-origin free n-cube strictly below the main diagonal
-    candidates = []
-    for p in iter_box((hor - n,) * d):
-        if p[-1] < p[0]:
-            candidates.append((max(p), p))
-    candidates.sort()
-    for _, p in candidates:
-        if all(vec_add(p, i) not in cells for i in iter_box((n,) * d)):
-            return p
-    return None

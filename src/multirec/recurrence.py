@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,13 +158,15 @@ def gap_report(
     return GapReport(q, s, p0, tuple(occ), max_gap, verdict)
 
 
-def check_urd_empirical(
+def _sweep(
     w: WordSource,
-    budget: RecurrenceBudget | None = None,
-    sizes: Iterable[Sequence[int]] | None = None,
-    claim: Claim = None,
-) -> list[GapReport]:
-    """One report per (direction, size) pair, origin fixed at zero."""
+    budget: RecurrenceBudget | None,
+    sizes: Iterable[Sequence[int]] | None,
+    claim: Claim,
+    origin_bound: int,
+) -> Iterator[tuple[Vector, list[GapReport]]]:
+    """Per block size, the reports of every origin in [0, origin_bound]^d
+    (outer) along every enumerated direction (inner)."""
     budget = budget or RecurrenceBudget()
     d = w.dimension
     size_list = (
@@ -173,37 +175,39 @@ def check_urd_empirical(
         else [tuple(s) for s in sizes]
     )
     dirs = enumerate_directions(d, budget.direction_bound)
-    return [
-        gap_report(w, q, s, None, budget.horizon, claim)
-        for s in size_list
-        for q in dirs
-    ]
+    origins = list(itertools.product(range(origin_bound + 1), repeat=d))
+    for s in size_list:
+        yield s, [
+            gap_report(w, q, s, p, budget.horizon, claim)
+            for p in origins
+            for q in dirs
+        ]
+
+
+def _severity(r: GapReport) -> tuple[int, int]:
+    """A broken claim outranks a missing recurrence, which outranks any gap."""
+    if r.verdict == GAP_EXCEEDS_CLAIM:
+        return (2, 0)
+    if r.max_gap is None:
+        return (1, 0)
+    return (0, r.max_gap)
 
 
 def _summarize(size: Vector, reports: list[GapReport]) -> SizeSummary:
-    worst = reports[0]
-    for r in reports[1:]:
-        if worst.verdict == GAP_EXCEEDS_CLAIM:
-            break
-        if r.verdict == GAP_EXCEEDS_CLAIM:
-            worst = r
-        elif r.max_gap is None and worst.max_gap is not None:
-            worst = r
-        elif (
-            r.max_gap is not None
-            and worst.max_gap is not None
-            and r.max_gap > worst.max_gap
-        ):
-            worst = r
-    bounds = [r.max_gap for r in reports]
-    bound = None if any(b is None for b in bounds) else max(bounds)
-    if any(r.verdict == GAP_EXCEEDS_CLAIM for r in reports):
-        verdict = GAP_EXCEEDS_CLAIM
-    elif bound is None:
-        verdict = NO_RECURRENCE_IN_HORIZON
-    else:
-        verdict = BOUNDED_WITNESSED
-    return SizeSummary(size, bound, worst, verdict)
+    """The first of the worst reports; its verdict is the family's."""
+    gaps = [r.max_gap for r in reports]
+    worst = max(reports, key=_severity)
+    return SizeSummary(size, None if None in gaps else max(gaps), worst, worst.verdict)
+
+
+def check_urd_empirical(
+    w: WordSource,
+    budget: RecurrenceBudget | None = None,
+    sizes: Iterable[Sequence[int]] | None = None,
+    claim: Claim = None,
+) -> list[GapReport]:
+    """One report per (direction, size) pair, origin fixed at zero."""
+    return [r for _, reports in _sweep(w, budget, sizes, claim, 0) for r in reports]
 
 
 def check_surd_empirical(
@@ -213,19 +217,7 @@ def check_surd_empirical(
     claim: Claim = None,
 ) -> list[SizeSummary]:
     """Per size, the sup of gaps over all directions (origin zero)."""
-    budget = budget or RecurrenceBudget()
-    d = w.dimension
-    size_list = (
-        enumerate_sizes(d, budget.size_bound)
-        if sizes is None
-        else [tuple(s) for s in sizes]
-    )
-    dirs = enumerate_directions(d, budget.direction_bound)
-    out = []
-    for s in size_list:
-        reports = [gap_report(w, q, s, None, budget.horizon, claim) for q in dirs]
-        out.append(_summarize(tuple(s), reports))
-    return out
+    return [_summarize(s, reports) for s, reports in _sweep(w, budget, sizes, claim, 0)]
 
 
 def check_ssurdo_empirical(
@@ -236,26 +228,8 @@ def check_ssurdo_empirical(
 ) -> list[SizeSummary]:
     """Per size, the sup of gaps over directions and origins."""
     budget = budget or RecurrenceBudget()
-    d = w.dimension
-    size_list = (
-        enumerate_sizes(d, budget.size_bound)
-        if sizes is None
-        else [tuple(s) for s in sizes]
-    )
-    dirs = enumerate_directions(d, budget.direction_bound)
-    origins = [
-        tuple(p)
-        for p in itertools.product(range(budget.origin_bound + 1), repeat=d)
-    ]
-    out = []
-    for s in size_list:
-        reports = [
-            gap_report(w, q, s, p, budget.horizon, claim)
-            for p in origins
-            for q in dirs
-        ]
-        out.append(_summarize(tuple(s), reports))
-    return out
+    sweep = _sweep(w, budget, sizes, claim, budget.origin_bound)
+    return [_summarize(s, reports) for s, reports in sweep]
 
 
 def sample_grid(w: WordSource, shape: Sequence[int]) -> np.ndarray:

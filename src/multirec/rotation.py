@@ -62,10 +62,6 @@ class IntervalSet:
     def full(cls, orientation: str = LOWER) -> "IntervalSet":
         return cls([(_ZERO, _ONE)], orientation)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
     def is_empty(self) -> bool:
         return not self.components
 
@@ -111,16 +107,6 @@ class IntervalSet:
                 hi = hi_a if hi_a.compare(hi_b) <= 0 else hi_b
                 out.append((lo, hi))
         return IntervalSet(out, self.orientation)
-
-    def min_length(self) -> QuadExt:
-        if self.is_empty():
-            raise ValueError("empty set has no component length")
-        best = None
-        for lo, hi in self.components:
-            length = hi - lo
-            if best is None or length.compare(best) < 0:
-                best = length
-        return best
 
     def __repr__(self):
         parts = ", ".join(f"({lo.to_float():.4f},{hi.to_float():.4f})"

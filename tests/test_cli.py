@@ -6,8 +6,8 @@ import pytest
 
 from multirec.cli import main
 from multirec.figures import _fixture
-from multirec.generators import Morphism
-from multirec.lattice import WordSource
+from multirec.generators import Morphism, morphism_to_json
+from multirec.lattice import FiniteWord, WordSource
 from multirec.render import read_grid_fixture, to_text
 
 # diagonal block sequence of the derivative example, as published
@@ -174,6 +174,16 @@ def test_check_urd_failure_exits_2(capsys):
     assert "urd check failed" in err
 
 
+def test_check_ur_rejects_a_claim(capsys):
+    code, out, err = run(
+        capsys, "check", "--word", "toeplitz-rows", "--mode", "ur",
+        "--budget", "600,2,2,2,64", "--claim", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--claim" in err
+
+
 def test_check_ur_json(capsys):
     code, out, _ = run(
         capsys, "check", "--word", "toeplitz-rows", "--mode", "ur",
@@ -194,7 +204,7 @@ def test_bad_budget_string(capsys):
 def test_derive_grid_output(capsys):
     code, out, _ = run(
         capsys, "derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2",
-        "--box", "6x6", "--grid",
+        "--box", "6x6",
     )
     assert code == 0
     rows = out.rstrip("\n").splitlines()
@@ -206,7 +216,7 @@ def test_derive_grid_output(capsys):
 def test_derive_uniform_marks_origin(capsys):
     code, out, _ = run(
         capsys, "derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2",
-        "--box", "4x4", "--scheme", "uniform", "--grid",
+        "--box", "4x4", "--scheme", "uniform",
     )
     assert code == 0
     assert out.rstrip("\n").splitlines()[-1].split()[0] == "?"
@@ -251,20 +261,35 @@ def test_extract_one_dimensional_word(capsys):
     assert out == "[01][11][10][01]\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["generate", "--preset", "sierpinski", "--box", "100000x100000"],
-    ["generate", "--preset", "sierpinski", "--iterate", "1000000000"],
-    ["extract", "--word", "sturmian", "--dir", "1,1", "--size", "3x3", "--len", "1000000000"],
-    ["classify", "--all", "--param", "40", "--workers", "1"],
-], ids=["box", "iterate", "len", "param"])
-def test_oversized_reads_exit_1_before_reading(capsys, monkeypatch, argv):
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Make every letter read and every substitution fail the test."""
     def never(*args, **kwargs):
         raise AssertionError("a read started")
 
     monkeypatch.setattr(WordSource, "letter", never)
     monkeypatch.setattr(WordSource, "letters_along", never)
     monkeypatch.setattr(Morphism, "iterate", never)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--preset", "sierpinski", "--box", "100000x100000"],
+    ["generate", "--preset", "sierpinski", "--iterate", "1000000000"],
+    ["extract", "--word", "sturmian", "--dir", "1,1", "--size", "3x3", "--len", "1000000000"],
+    ["classify", "--all", "--param", "40", "--workers", "1"],
+], ids=["box", "iterate", "len", "param"])
+def test_oversized_reads_exit_1_before_reading(capsys, no_reads, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "the limit of" in err
+
+
+def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads):
+    path = tmp_path / "flat.json"
+    flat = Morphism([FiniteWord((1, 2), (0, 1)), FiniteWord((1, 2), (1, 0))])
+    path.write_text(json.dumps(morphism_to_json(flat)))
+    code, out, err = run(capsys, "generate", "--morphism", str(path), "--letter", "0", "--box", "4x4")
+    assert code == 1
+    assert out == ""
+    assert "side" in err

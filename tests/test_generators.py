@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +11,6 @@ from multirec.generators import (
     Morphism,
     ToeplitzSchedule,
     ToeplitzWord,
-    UrdNotUrSchedule,
     fib_rows_word,
     fibonacci_word,
     gcd_word,
@@ -26,7 +23,6 @@ from multirec.generators import (
     thue_morse_word,
     toeplitz_construct,
     toeplitz_rows_word,
-    urd_not_ur_construct,
 )
 from multirec.lattice import FiniteWord, factor_at, iter_box, vec_add, vec_scale
 
@@ -103,6 +99,13 @@ def test_fixed_point_requires_prolongable_letter():
     with pytest.raises(NotProlongable):
         # 0's image starts with 0, so no fixed point grows from 1's seed there
         Morphism([phi.image(1), phi.image(1)]).fixed_point(0)
+
+
+def test_fixed_point_requires_every_side_at_least_two():
+    # a side of 1 never shrinks a coordinate, so the digit walk would not end
+    phi = Morphism([FiniteWord((1, 2), (0, 1)), FiniteWord((1, 2), (1, 0))])
+    with pytest.raises(ValueError, match="side"):
+        phi.fixed_point(0)
 
 
 def test_sierpinski_square_expansion():
@@ -288,17 +291,3 @@ def test_seeded_toeplitz_is_reproducible_and_seed_sensitive():
     va = [a.letter(p) for p in probe]
     assert va == [b.letter(p) for p in probe]
     assert va != [c.letter(p) for p in probe]
-
-
-def test_urd_not_ur_artifact_shape():
-    art = urd_not_ur_construct(UrdNotUrSchedule(steps=4, horizon=96))
-    assert art.letter((0, 0)) == 1
-    for p in iter_box((4, 4)):
-        assert art.filled(p)
-    assert art.zero_blocks
-    for n, corner in art.zero_blocks:
-        for off in iter_box((n, n)):
-            p = (corner[0] + off[0], corner[1] + off[1])
-            assert art.letter(p) == 0
-    for (step, q), b in art.b_table.items():
-        assert b >= 1 and math.gcd(*q) == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,9 @@ from multirec.recurrence import (
     BOUNDED_WITNESSED,
     GAP_EXCEEDS_CLAIM,
     NO_RECURRENCE_IN_HORIZON,
+    GapReport,
     RecurrenceBudget,
+    _summarize,
     check_ssurdo_empirical,
     check_surd_empirical,
     check_ur_empirical,
@@ -141,6 +145,43 @@ def test_ssurdo_summary_ranges_over_origins():
     assert summary.size == (1, 1)
     assert summary.verdict == BOUNDED_WITNESSED
     assert summary.bound <= 3
+
+
+def _report(n: int, max_gap: int | None, verdict: str) -> GapReport:
+    """A hand-built report; the direction (n, 1) tells reports apart."""
+    return GapReport((n, 1), (1, 1), (0, 0), (0,), max_gap, verdict)
+
+
+def test_summary_picks_the_first_worst_report():
+    exceeds = [_report(0, 4, BOUNDED_WITNESSED), _report(1, None, NO_RECURRENCE_IN_HORIZON),
+               _report(2, 9, GAP_EXCEEDS_CLAIM), _report(3, None, GAP_EXCEEDS_CLAIM),
+               _report(4, 12, GAP_EXCEEDS_CLAIM)]
+    s = _summarize((1, 1), exceeds)
+    assert (s.worst, s.bound, s.verdict) == (exceeds[2], None, GAP_EXCEEDS_CLAIM)
+
+    missing = [_report(0, 7, BOUNDED_WITNESSED), _report(1, None, NO_RECURRENCE_IN_HORIZON),
+               _report(2, 50, BOUNDED_WITNESSED), _report(3, None, NO_RECURRENCE_IN_HORIZON)]
+    s = _summarize((1, 1), missing)
+    assert (s.worst, s.bound, s.verdict) == (missing[1], None, NO_RECURRENCE_IN_HORIZON)
+
+    ties = [_report(0, 3, BOUNDED_WITNESSED), _report(1, 8, BOUNDED_WITNESSED),
+            _report(2, 5, BOUNDED_WITNESSED), _report(3, 8, BOUNDED_WITNESSED)]
+    s = _summarize((1, 1), ties)
+    assert (s.worst, s.bound, s.verdict) == (ties[1], 8, BOUNDED_WITNESSED)
+
+
+@pytest.mark.parametrize("name", ["sierpinski", "surd-not-ssurdo-2x2"])
+@given(horizon=st.integers(1, 200), direction_bound=st.integers(1, 3),
+       size_bound=st.integers(1, 2), claim=st.none() | st.integers(1, 12))
+@settings(max_examples=15, deadline=None)
+def test_surd_is_urd_summarised_per_size(name, horizon, direction_bound, size_bound, claim):
+    w = preset_word(name)
+    budget = RecurrenceBudget(horizon, direction_bound, size_bound)
+    grouped = itertools.groupby(check_urd_empirical(w, budget, claim=claim),
+                                key=lambda r: r.size)
+    assert check_surd_empirical(w, budget, claim=claim) == [
+        _summarize(size, list(reports)) for size, reports in grouped
+    ]
 
 
 def test_sample_grid_matches_letters():
