@@ -50,8 +50,11 @@ BUDGET_EXIT = 3
 
 _JSON_SEP = (",", ": ")
 
-# Most letters one generate or extract run may read; larger reads are refused.
+# Most letters one generate or extract run, one scanned line or one ur
+# grid may read; larger reads are refused.
 _MAX_LETTERS = 1 << 20
+# Most (size, origin, direction) lines one check run may scan.
+_MAX_LINES = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,6 +139,21 @@ def _check_read_size(what: str, letters: int) -> None:
         raise _Usage(f"{what} reads more than the limit of {_MAX_LETTERS} letters")
 
 
+def _check_budget(budget: RecurrenceBudget, mode: str, d: int) -> None:
+    """Refuse a budget whose reads exceed the limits, before reading: a
+    line's horizon + 1 letters and the line count (origins enumerated in
+    ssurdo mode only) in the line modes, the window scan's grid in ur."""
+    if mode == "ur":
+        side = 2 * budget.block_bound + budget.size_bound
+        _check_read_size(f"--budget ur grid {side}^{d}", side ** d)
+        return
+    _check_read_size(f"--budget horizon {budget.horizon}", budget.horizon + 1)
+    origins = (budget.origin_bound + 1) ** d if mode == "ssurdo" else 1
+    lines = budget.size_bound ** d * origins * (budget.direction_bound + 1) ** d
+    if lines > _MAX_LINES:
+        raise _Usage(f"--budget scans about {lines} lines, above the limit of {_MAX_LINES}")
+
+
 def block_text(block: FiniteWord) -> str:
     """[top/.../bottom] with rows read left to right, matching the grid
     orientation of the text renderer."""
@@ -218,6 +236,7 @@ def cmd_check(args) -> int:
     claim = args.claim
     if claim is not None and args.mode == "ur":
         raise _Usage("--claim bounds gaps in urd, surd and ssurdo modes; ur has none")
+    _check_budget(budget, args.mode, w.dimension)
     failed = False
     lines = []
     payload: list[dict] = []

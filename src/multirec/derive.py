@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ReturnScanFailed
 from .lattice import FiniteWord, Vector, WordSource, iter_box
 from .recurrence import occurrence_indices
@@ -58,7 +60,7 @@ def directional_blocks(
     cell is read once along q."""
     s = tuple(size)
     columns = [w.letters_along(o, direction, count) for o in iter_box(s)]
-    return [FiniteWord(s, cells) for cells in zip(*columns)]
+    return [FiniteWord(s, cells) for cells in np.stack(columns, axis=1).tolist()]
 
 
 def return_words_along(

@@ -1,7 +1,8 @@
 """Word sources: constant-size morphic fixed points, classical unidimensional
 words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
 fixed points have two digit walks, one per letter and one per line (see
-Morphism); ``Morphism.iterate`` substitutes and walks no digits, so it is a
+Morphism); the line walk reads m digits per table lookup into the images of
+phi^m.  ``Morphism.iterate`` substitutes and walks no digits, so it is a
 reference for both."""
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .lattice import (FiniteWord, Vector, WordSource, iter_box, vec_add,
 # morphisms
 
 
+# Most cells of phi^m(b) the chunked line walk's table holds per letter.
+_TABLE_CELLS = 1 << 12
+
+
 def _ndigits(n: int, base: int) -> int:
     count = 0
     while n:
@@ -39,9 +44,15 @@ class Morphism:
     ``letter_in_fixed_point``, exact at any coordinate size, for single
     letters and as the tests' reference; and the numpy ``_line_evaluator``
     for whole lines, which falls back to it from ``1 << 40`` on.
+
+    A fixed point of phi is also one of phi^m, so the line walk reads m
+    base-s_j digits as one base-s_j^m digit: one gather per chunk into a
+    flat table of the images phi^m(b), with m the largest such that
+    phi^m(b) has at most ``_TABLE_CELLS`` cells (m = 6 for 2x2, 3 for 3x3,
+    12 for a 1-D s = 2).  The table is built at the first line read.
     """
 
-    __slots__ = ("images", "dims", "_cells", "_strides")
+    __slots__ = ("images", "dims", "_cells", "_strides", "_chunks")
 
     def __init__(self, images: Sequence[FiniteWord]):
         images = tuple(images)
@@ -61,6 +72,7 @@ class Morphism:
         for s in dims[:-1]:
             strides.append(strides[-1] * s)
         self._strides = tuple(strides)
+        self._chunks: tuple[int, np.ndarray] | None = None
 
     @property
     def alphabet_size(self) -> int:
@@ -115,6 +127,11 @@ class Morphism:
         axis, and the reshape merges them."""
         if n < 0:
             raise ValueError("negative iteration depth")
+        grid = self._substitute(b, n)
+        return FiniteWord(tuple(s ** n for s in self.dims), grid.ravel().tolist())
+
+    def _substitute(self, b: int, n: int) -> np.ndarray:
+        """phi^n(b) as a numpy grid indexed [x_d, ..., x_1]."""
         d = self.dimension
         images = np.array(self._cells, dtype=np.int64).reshape(-1, *self.dims[::-1])
         order = [i for axis in range(d) for i in (axis, axis + d)]
@@ -122,7 +139,21 @@ class Morphism:
         for _ in range(n):
             shape = [m * s for m, s in zip(grid.shape, images.shape[1:])]
             grid = images[grid].transpose(order).reshape(shape)
-        return FiniteWord(tuple(s ** n for s in self.dims), grid.ravel().tolist())
+        return grid
+
+    def _chunk_table(self) -> tuple[int, np.ndarray]:
+        """(m, table) with table[b * cells + off] the letter of phi^m(b) at
+        mixed-radix offset off (first coordinate fastest), stored in the
+        smallest unsigned dtype that holds the alphabet."""
+        if self._chunks is None:
+            cells = math.prod(self.dims)
+            m = 1
+            while cells ** (m + 1) <= _TABLE_CELLS:
+                m += 1
+            table = np.concatenate([self._substitute(b, m).ravel()
+                                    for b in range(self.alphabet_size)])
+            self._chunks = (m, table.astype(np.min_scalar_type(self.alphabet_size - 1)))
+        return self._chunks
 
     def power(self, i: int) -> "Morphism":
         """The morphism b -> iterate(b, i), of size (s_1^i, ..., s_d^i)."""
@@ -150,32 +181,45 @@ class Morphism:
                           name=name or f"fixedpoint({a})")
 
     def _line_evaluator(self, a: int):
-        """Batch digit walk at start + ell*step for an increasing ells array.
+        """Batch digit walk at start + ell*step for an increasing ells array,
+        returning int64 letters.
 
         Leading zero digits map a to a (prolongability), so every position
         can be padded to the depth of the largest coordinate and the walk
-        runs as one table lookup per digit over the whole line.
+        runs as one table gather per chunk of m digits over the whole line,
+        most significant chunk first.
         """
-        img = np.array(self._cells, dtype=np.int64)
-        dims = self.dims
-        strides = self._strides
 
-        def lb(start: Vector, step: Vector, ells: np.ndarray) -> list[int]:
+        def lb(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
             if not len(ells):
-                return []
+                return np.empty(0, dtype=np.int64)
             top = max(s + t * int(ells[-1]) for s, t in zip(start, step))
             if min(start) < 0 or min(step) < 0 or top >= 1 << 40:
-                return [self.letter_in_fixed_point(a, vec_add(start, vec_scale(step, ell)))
-                        for ell in ells.tolist()]
+                return np.array([self.letter_in_fixed_point(a, vec_add(start, vec_scale(step, ell)))
+                                 for ell in ells.tolist()], dtype=np.int64)
+            m, table = self._chunk_table()
+            radices = [s ** m for s in self.dims]
+            cells = math.prod(radices)
+            # Chunk offsets into phi^m(b), least significant chunk first.
+            # Floor division by a scalar is much faster than numpy's % or
+            # divmod, so each digit is c - (c // r) * r.
             coords = [s + t * ells for s, t in zip(start, step)]
-            depth = max(_ndigits(top, s) for s in dims)
+            offsets = []
+            for _ in range(max(_ndigits(top, r) for r in radices)):
+                stride = 1
+                for axis, r in enumerate(radices):
+                    c = coords[axis]
+                    coords[axis] = c // r
+                    digit = c - coords[axis] * r
+                    off = digit if axis == 0 else off + digit * stride
+                    stride *= r
+                offsets.append(off)
             letters = np.full(len(ells), a, dtype=np.int64)
-            for j in range(depth - 1, -1, -1):
-                off = np.zeros(len(ells), dtype=np.int64)
-                for axis, c in enumerate(coords):
-                    off += (c // dims[axis] ** j) % dims[axis] * strides[axis]
-                letters = img[letters, off]
-            return letters.tolist()
+            for off in reversed(offsets):
+                # The int64 product keeps a uint8 letter times a large cell
+                # count from wrapping under any numpy promotion rules.
+                letters = table[np.multiply(letters, cells, dtype=np.int64) + off]
+            return letters.astype(np.int64)
 
         return lb
 

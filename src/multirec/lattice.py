@@ -145,15 +145,17 @@ class WordSource:
     """An infinite word w: N^d -> A behind a pure evaluator.
 
     Every multi-letter read (blocks along a direction, grid rows, boxes,
-    line scans) goes through ``letters_along``.  ``letter`` and
-    ``factor_at`` read pointwise through the evaluator; they are the exact
-    references the batched reads are tested against.
+    line scans) goes through ``letters_along``, which returns an int64
+    array.  ``letter`` and ``factor_at`` read pointwise through the
+    evaluator; they are the exact references the batched reads are tested
+    against.
 
     ``line_builder``, when given, batch-evaluates letters along an
-    arithmetic line: ``line_builder(start, step, ells)`` returns the letters
-    at start + ell*step for an increasing int64 array ``ells`` of
-    multipliers.  Sources with cheap vectorised state (rotation orbits,
-    morphic digit walks) use it instead of one evaluator call per position.
+    arithmetic line: ``line_builder(start, step, ells)`` returns the int64
+    array of letters at start + ell*step for an increasing int64 array
+    ``ells`` of multipliers.  Sources with cheap vectorised state (rotation
+    orbits, morphic digit walks m digits per table lookup) use it instead
+    of one evaluator call per position.
     Evaluators must be deterministic; internal memoization is allowed but
     invisible.
     """
@@ -162,7 +164,7 @@ class WordSource:
 
     def __init__(self, dimension: int, alphabet_size: int,
                  evaluator: Callable[[Vector], int],
-                 line_builder: Callable[[Vector, Vector, np.ndarray], Sequence[int]] | None = None,
+                 line_builder: Callable[[Vector, Vector, np.ndarray], np.ndarray] | None = None,
                  name: str = "word"):
         self.dimension = dimension
         self.alphabet_size = alphabet_size
@@ -176,8 +178,8 @@ class WordSource:
         return self._evaluator(p)
 
     def letters_along(self, start: Sequence[int], step: Sequence[int],
-                      multipliers: int | Sequence[int]) -> list[int]:
-        """Letters at start + ell*step for each multiplier ell.
+                      multipliers: int | Sequence[int]) -> np.ndarray:
+        """Letters at start + ell*step for each multiplier ell, as int64.
 
         ``multipliers`` is a count n (ell = 0, ..., n-1) or an increasing
         sequence of nonnegative ells; words without a line builder are read
@@ -191,10 +193,10 @@ class WordSource:
         else:
             ells = np.asarray(multipliers, dtype=np.int64)
         if self._line_builder is not None:
-            return list(self._line_builder(start, step, ells))
+            return self._line_builder(start, step, ells)
         ells = ells.tolist()
         axes = [[s + t * ell for ell in ells] for s, t in zip(start, step)]
-        return list(map(self._evaluator, zip(*axes)))
+        return np.fromiter(map(self._evaluator, zip(*axes)), dtype=np.int64, count=len(ells))
 
     def __repr__(self) -> str:
         return f"WordSource({self.name}, d={self.dimension}, k={self.alphabet_size})"

@@ -15,6 +15,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .errors import (
     CompositeSize,
     ConstructionBug,
@@ -187,9 +190,10 @@ def check_non_recurrent_direction(
             if phi.image(b)[i] == a:
                 return ConditionVerdict("non-recurrent-direction", False, (b, i))
     line = phi.fixed_point(a).letters_along(origin, q, horizon + 1)
-    if a in line[1:]:
+    repeats = np.flatnonzero(line[1:] == a)
+    if len(repeats):
         raise ConstructionBug(
-            f"letter {a} reappeared at {line.index(a, 1)} * {q} despite the condition"
+            f"letter {a} reappeared at {repeats[0] + 1} * {q} despite the condition"
         )
     return ConditionVerdict("non-recurrent-direction", True)
 
@@ -264,7 +268,7 @@ class Witness2x2:
         q = self.direction(param)
         line = phi.fixed_point(1).letters_along(
             (0,) * len(q), q, self.zero_multipliers(param, horizon))
-        return not any(line)
+        return not line.any()
 
 
 def _check_param(param: int) -> None:
@@ -352,7 +356,7 @@ def lemma_001_101_check(
         raise InvalidInput(f"letter {a} does not sit at position {i} of every image")
     w = sigma.fixed_point(a)
     sub = w.letters_along((0,), (m,), horizon + s)
-    return all(a in sub[k : k + s] for k in range(horizon + 1))
+    return bool(sliding_window_view(sub == a, s).any(axis=1).all())
 
 
 def ssurdo_structure_check(j: int, phi: Morphism | None = None) -> bool:
@@ -417,14 +421,17 @@ def survey_all_2x2(
     workers: int | None = None,
 ) -> list[dict]:
     """Classify all 128 candidate morphisms and validate each verdict
-    experimentally.  Entries come back in enumeration order.
+    experimentally.  Entries come back in enumeration order.  The pool has
+    at most one worker per entry; ``None`` means one per CPU.
     """
     _check_param(param)
+    if workers is not None and workers < 1:
+        raise InvalidInput(f"workers must be at least 1, got {workers}")
     tasks = [
         (phi.image(0).cells, phi.image(1).cells, horizon, direction_bound, param)
         for phi in all_2x2_morphisms()
     ]
-    workers = workers or os.cpu_count() or 1
+    workers = min(workers or os.cpu_count() or 1, len(tasks))
     if workers == 1:
         return [survey_2x2_entry(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -116,7 +116,7 @@ def occurrence_indices(
     for o in iter_box(tuple(size)):
         if len(alive) == 1:
             break
-        line = np.asarray(w.letters_along(vec_add(p0, o), q, alive))
+        line = w.letters_along(vec_add(p0, o), q, alive)
         alive = alive[line == line[0]]
     return alive.tolist()
 
@@ -149,9 +149,8 @@ def gap_report(
         if bound is not None and horizon >= bound:
             verdict = GAP_EXCEEDS_CLAIM
         return GapReport(q, s, p0, tuple(occ), None, verdict)
-    gaps = [b - a for a, b in zip(occ, occ[1:])]
-    gaps.append(horizon - occ[-1])
-    max_gap = max(gaps)
+    # consecutive gaps, then the tail up to the horizon
+    max_gap = int(np.diff(np.array(occ, dtype=np.int64), append=horizon).max())
     verdict = BOUNDED_WITNESSED
     if bound is not None and max_gap > bound:
         verdict = GAP_EXCEEDS_CLAIM

@@ -53,7 +53,7 @@ def sample_rows(w: WordSource | FiniteWord, box) -> list[list[int]]:
         starts = [(0, y) for y in range(box[1] if len(box) == 2 else 1)]
     if isinstance(w, FiniteWord):
         return [[w[(x, *p[1:])] for x in range(box[0])] for p in starts]
-    return [w.letters_along(p, (1, 0)[:len(p)], box[0]) for p in starts]
+    return [w.letters_along(p, (1, 0)[:len(p)], box[0]).tolist() for p in starts]
 
 
 def _cell_token(c: int) -> str:

@@ -240,7 +240,7 @@ class RotationWordSpec:
         edges = [0.0, 1.0, *cuts.tolist()]
         labels = np.array(part.labels, dtype=np.int64)
 
-        def line(start: Vector, step: Vector, ells: np.ndarray) -> list[int]:
+        def line(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
             x0 = self.point(start)
             delta = self.angle_along(step)
             x, near = _orbit(x0, delta, ells, edges)
@@ -248,7 +248,7 @@ class RotationWordSpec:
             out = labels[np.searchsorted(cuts, x, side="right")]
             for i in np.flatnonzero(near).tolist():
                 out[i] = part.letter_at((x0 + delta * int(ells[i])).mod1())
-            return out.tolist()
+            return out
 
         alphabet = max(part.labels) + 1
         return WordSource(self.dimension, alphabet, self.letter,

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from multirec.cli import main
+from multirec import morphic
+from multirec.cli import _MAX_LETTERS, _MAX_LINES, _check_budget, main
 from multirec.figures import _fixture
 from multirec.generators import Morphism, morphism_to_json
 from multirec.lattice import FiniteWord, WordSource
+from multirec.recurrence import RecurrenceBudget
 from multirec.render import read_grid_fixture, to_text
 
 # diagonal block sequence of the derivative example, as published
@@ -283,6 +285,50 @@ def test_oversized_reads_exit_1_before_reading(capsys, no_reads, argv):
     assert code == 1
     assert out == ""
     assert "the limit of" in err
+
+
+@pytest.mark.parametrize("mode, budget, limit", [
+    ("urd", "1048576,1,1,1,8", "limit of 1048576 letters"),
+    ("ur", "100,1,2,1,600000", "limit of 1048576 letters"),
+    ("urd", "100,300,1,1,8", "limit of 65536"),
+    ("ssurdo", "100,20,3,20,8", "limit of 65536"),
+], ids=["horizon", "ur-grid", "directions", "ssurdo-lines"])
+def test_oversized_budgets_exit_1_before_reading(capsys, no_reads, mode, budget, limit):
+    code, out, err = run(capsys, "check", "--preset", "sierpinski", "--mode", mode, "--budget", budget)
+    assert code == 1
+    assert out == ""
+    assert limit in err
+
+
+def test_budget_limits_are_inclusive_and_the_defaults_pass():
+    for mode in ("urd", "surd", "ssurdo", "ur"):
+        _check_budget(RecurrenceBudget(), mode, 2)
+    _check_budget(RecurrenceBudget(horizon=_MAX_LETTERS - 1), "urd", 2)
+    # (2*511 + 2)^2 = 2^20 grid cells; 4 * 8^2 * 16^2 = 2^16 lines
+    _check_budget(RecurrenceBudget(size_bound=2, block_bound=511), "ur", 2)
+    _check_budget(RecurrenceBudget(direction_bound=15, size_bound=2, origin_bound=7), "ssurdo", 2)
+    assert 4 * 8**2 * 16**2 == _MAX_LINES
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_classify_all_refuses_fewer_than_one_worker(capsys, no_reads, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(morphic, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, "classify", "--all", "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert "at least 1" in err
+
+
+def test_check_json_serialises_gaps_as_ints(capsys):
+    for mode, key in (("urd", "max_gap"), ("surd", "sup_gap")):
+        code, out, _ = run(capsys, "check", "--preset", "ssurdo-3x3", "--mode", mode,
+                           "--budget", "300,2,2,1,8", "--json")
+        assert code == 0
+        gaps = [entry[key] for entry in json.loads(out)]
+        assert gaps and all(type(g) is int for g in gaps)
 
 
 def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads):

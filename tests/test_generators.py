@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,8 +180,75 @@ def test_digit_walk_matches_pointwise_letters_across_the_fallback(m, data):
     w = m.fixed_point(0)
     expected = [m.letter_in_fixed_point(0, vec_add(start, vec_scale(step, ell)))
                 for ell in ells]
-    assert w.letters_along(start, step, ells) == expected
+    assert w.letters_along(start, step, ells).tolist() == expected
     assert [w.letter(vec_add(start, vec_scale(step, ell))) for ell in ells] == expected
+
+
+@st.composite
+def prolongable_box_morphisms(draw):
+    """Random morphisms, k <= 3, d in {1, 2, 3}, each side s_j in {2, 3}
+    drawn separately, whose image of 0 starts with 0."""
+    k = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3)))
+    n = math.prod(dims)
+    images = [draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+              for _ in range(k)]
+    images[0][0] = 0
+    return Morphism([FiniteWord(dims, cells) for cells in images])
+
+
+def _chunk_depth(dims) -> int:
+    """Digits per table lookup: the largest m >= 1 with prod(dims)^m <= 2^12."""
+    return max(m for m in range(1, 13) if m == 1 or math.prod(dims) ** m <= 1 << 12)
+
+
+def _near(edge: int):
+    return st.integers(max(edge - 40, 0), edge + 2)
+
+
+@given(prolongable_box_morphisms(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_chunked_walk_matches_pointwise_letters_across_chunk_edges(m, data):
+    """One axis starts just below s_j^m, s_j^(2m) or 1 << 40 and steps
+    across it; every other axis starts small or near an edge of its own."""
+    d = m.dimension
+    depth = _chunk_depth(m.dims)
+    edges = [[s ** depth, s ** (2 * depth), 1 << 40] for s in m.dims]
+    axis = data.draw(st.integers(0, d - 1))
+    start = [data.draw(st.integers(0, 99) | st.sampled_from(e).flatmap(_near)) for e in edges]
+    start[axis] = data.draw(st.sampled_from(edges[axis]).flatmap(_near))
+    step = [data.draw(st.integers(0, 3)) for _ in range(d)]
+    step[axis] = data.draw(st.integers(1, 3))
+    ells = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    line = m.fixed_point(0).letters_along(start, step, ells)
+    assert line.dtype == np.int64
+    assert line.tolist() == [m.letter_in_fixed_point(0, vec_add(start, vec_scale(step, ell)))
+                             for ell in ells]
+
+
+def test_chunk_depth_and_table_are_set_at_the_first_line_read():
+    for dims, depth in (((2, 2), 6), ((3, 3), 3), ((2, 2, 2), 4), ((2,), 12), ((3, 2), 4)):
+        cells = math.prod(dims)
+        m = Morphism([FiniteWord(dims, [0] * cells), FiniteWord(dims, [1] * cells)])
+        w = m.fixed_point(0)
+        assert m._chunks is None
+        w.letters_along((0,) * len(dims), (1,) * len(dims), 3)
+        assert m._chunks[0] == depth == _chunk_depth(dims)
+        assert m._chunks[1].dtype == np.uint8
+        assert m._chunks[1].shape == (2 * cells ** depth,)
+
+
+def test_chunked_walk_with_letters_beyond_a_uint16_table_index():
+    """Twenty letters on a 1-D side of 2: letter * 4096 exceeds 2^16, so
+    the table index must be formed in int64 under either numpy promotion."""
+    k = 20
+    m = Morphism([FiniteWord((2,), (b, (b + 1) % k)) for b in range(k)])
+    # the letter at x is its binary digit sum mod k
+    ells = sorted({(1 << j) - 1 for j in range(40)} | set(range(0, 1 << 40, 3 ** 20)))
+    line = m.fixed_point(0).letters_along((0,), (1,), ells)
+    assert line.max() == k - 1
+    assert line.tolist() == [m.letter_in_fixed_point(0, (x,)) for x in ells]
+    assert line.tolist() == [x.bit_count() % k for x in ells]
 
 
 def test_prefix_nesting():
@@ -219,23 +289,23 @@ def test_gcd_word_places_the_seed_along_every_direction():
 
 def test_fib_rows_alternates_prefixed_rows():
     w = fib_rows_word()
-    assert w.letters_along((0, 0), (1, 0), 9) == [1, 0, 1, 0, 0, 1, 0, 1, 0]
-    assert w.letters_along((0, 1), (1, 0), 9) == [0, 0, 1, 0, 0, 1, 0, 1, 0]
+    assert w.letters_along((0, 0), (1, 0), 9).tolist() == [1, 0, 1, 0, 0, 1, 0, 1, 0]
+    assert w.letters_along((0, 1), (1, 0), 9).tolist() == [0, 0, 1, 0, 0, 1, 0, 1, 0]
     for y in range(6):
         expected = [y % 2 == 0] + [fibonacci_word(x) for x in range(8)]
-        row = w.letters_along((0, y), (1, 0), 9)
+        row = w.letters_along((0, y), (1, 0), 9).tolist()
         assert row[0] == int(expected[0])
         assert row[1:] == expected[1:]
 
 
 def test_toeplitz_rows_word_rows():
     w = toeplitz_rows_word()
-    assert w.letters_along((0, 0), (1, 0), 8) == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert w.letters_along((0, 4), (1, 0), 8) == [1, 0, 0, 0, 1, 0, 0, 0]
+    assert w.letters_along((0, 0), (1, 0), 8).tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert w.letters_along((0, 4), (1, 0), 8).tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
     for n in (1, 2, 3, 5, 6, 12):
         k = (n & -n).bit_length() - 1
         period = 1 << k
-        row = w.letters_along((0, n), (1, 0), 4 * period)
+        row = w.letters_along((0, n), (1, 0), 4 * period).tolist()
         assert row == [1 if x % period == 0 else 0 for x in range(4 * period)]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from multirec import morphic
 from multirec.errors import CompositeSize, InvalidInput, NotApplicable
 from multirec.generators import Morphism, load_preset, preset_word, thue_morse
 from multirec.lattice import FiniteWord, WordSource, iter_box, vec_scale
@@ -296,3 +297,38 @@ def test_witness_parameter_above_the_limit_is_refused_unread(monkeypatch):
         witness.verify(phi, param=40)
     with pytest.raises(InvalidInput, match="limit of 16"):
         survey_all_2x2(param=17, workers=1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return []
+
+
+@pytest.mark.parametrize("workers, pool", [(1000, 128), (129, 128), (3, 3)])
+def test_survey_pool_is_clamped_to_the_entries(monkeypatch, workers, pool):
+    monkeypatch.setattr(morphic, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert survey_all_2x2(workers=workers) == []
+    assert _RecordingPool.sizes == [pool]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_survey_refuses_fewer_than_one_worker(monkeypatch, workers):
+    monkeypatch.setattr(morphic, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    with pytest.raises(InvalidInput, match="at least 1"):
+        survey_all_2x2(workers=workers)
+    assert _RecordingPool.sizes == []

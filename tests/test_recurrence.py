@@ -69,6 +69,20 @@ def test_gap_report_counts_the_tail():
     assert r.bounded()
 
 
+def test_gap_report_max_gap_can_be_the_tail():
+    """Occurrences at 0, 2 and 4 only: the tail 20 - 4 is the strict
+    maximum, and the report holds Python ints on both read paths."""
+    early = WordSource(1, 2, lambda p: 1 if p[0] in (0, 2, 4) else 0, name="early")
+    r = gap_report(early, (1,), (1,), horizon=20)
+    assert r.occurrences == (0, 2, 4)
+    assert r.max_gap == 16
+    assert r.verdict == BOUNDED_WITNESSED
+    morphic = gap_report(preset_word("sierpinski"), (1, 0), (2, 2), horizon=300)
+    for report in (r, morphic):
+        assert type(report.max_gap) is int
+        assert all(type(ell) is int for ell in report.occurrences)
+
+
 def test_claims_flip_the_verdict():
     assert gap_report(beacons(3), (1,), (1,), horizon=20, claim=3).verdict \
         == BOUNDED_WITNESSED
