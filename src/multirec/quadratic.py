@@ -123,26 +123,31 @@ class QuadExt:
     def is_rational(self) -> bool:
         return all(rad == 1 for rad in self._coeffs)
 
+    def _integer_terms(self) -> tuple[int, list[tuple[int, int]]]:
+        """denom and the pairs (radicand, integer coefficient) of self * denom."""
+        denom = math.lcm(*(c.denominator for c in self._coeffs.values()))
+        return denom, [(rad, int(c * denom)) for rad, c in self._coeffs.items()]
+
+    @staticmethod
+    def _enclosure(terms: list[tuple[int, int]], p: int) -> tuple[int, int]:
+        """lo <= sum num * sqrt(rad) * 2^p <= hi, with hi - lo <= sum |num|."""
+        lo = hi = 0
+        for rad, num in terms:
+            f = math.isqrt(rad << 2 * p)
+            lo += num * (f + (num < 0))
+            hi += num * (f + (num >= 0))
+        return lo, hi
+
     def sign(self) -> int:
         if not self._coeffs:
             return 0
         if self.is_rational():
             c = self._coeffs[1]
             return (c > 0) - (c < 0)
-        denom = math.lcm(*(c.denominator for c in self._coeffs.values()))
-        terms = [(rad, int(c * denom)) for rad, c in self._coeffs.items()]
+        _, terms = self._integer_terms()
         p = 32
         while True:
-            lo = hi = 0
-            scale = 1 << p
-            for rad, num in terms:
-                f = math.isqrt(rad * scale * scale)
-                if num >= 0:
-                    lo += num * f
-                    hi += num * (f + 1)
-                else:
-                    lo += num * (f + 1)
-                    hi += num * f
+            lo, hi = self._enclosure(terms, p)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -181,21 +186,23 @@ class QuadExt:
         loses ~1e-7 to cancellation once coefficients reach 1e9."""
         if self.is_rational():
             return float(self._coeffs.get(1, 0))
-        denom = math.lcm(*(c.denominator for c in self._coeffs.values()))
-        terms = [(rad, int(c * denom)) for rad, c in self._coeffs.items()]
+        denom, terms = self._integer_terms()
         p = 64 + max(abs(num) for _, num in terms).bit_length()
         total = sum(num * math.isqrt(rad << 2 * p) for rad, num in terms)
         return total / (denom << p)
 
     def floor(self) -> int:
+        """Exact floor, from the enclosure ``sign`` uses at 64 bits past the
+        coefficients, so the two ends of the enclosure floor to g and at
+        most g + 1; only then does one exact comparison decide."""
         if self.is_rational():
             return math.floor(self._coeffs.get(1, Fraction(0)))
-        g = math.floor(self.to_float())
-        # float guess is within 1 for any value the package produces; the
-        # exact comparisons below repair it regardless
-        while self.compare(g) < 0:
-            g -= 1
-        while self.compare(g + 1) >= 0:
+        denom, terms = self._integer_terms()
+        p = 64 + sum(abs(num) for _, num in terms).bit_length()
+        lo, hi = self._enclosure(terms, p)
+        scale = denom << p
+        g = lo // scale
+        if hi // scale > g and self.compare(g + 1) >= 0:
             g += 1
         return g
 

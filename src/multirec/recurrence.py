@@ -110,15 +110,19 @@ def occurrence_indices(
     its line, only at the multipliers that survived the cells before it;
     its letter at ell = 0, which always survives, is the target.
     """
-    q = tuple(direction)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
+    return _occurrences(w, tuple(direction), tuple(size), p0, horizon).tolist()
+
+
+def _occurrences(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: int) -> np.ndarray:
+    """``occurrence_indices`` as an int64 array."""
     alive = np.arange(horizon + 1, dtype=np.int64)
-    for o in iter_box(tuple(size)):
+    for o in iter_box(size):
         if len(alive) == 1:
             break
         line = w.letters_along(vec_add(p0, o), q, alive)
         alive = alive[line == line[0]]
-    return alive.tolist()
+    return alive
 
 
 def _claim_value(claim: Claim, size: Vector) -> int | None:
@@ -140,7 +144,7 @@ def gap_report(
     q = tuple(direction)
     s = tuple(size)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
-    occ = occurrence_indices(w, q, s, p0, horizon)
+    occ = _occurrences(w, q, s, p0, horizon)
     bound = _claim_value(claim, s)
     if len(occ) < 2:
         verdict = NO_RECURRENCE_IN_HORIZON
@@ -148,13 +152,13 @@ def gap_report(
         # can see past.
         if bound is not None and horizon >= bound:
             verdict = GAP_EXCEEDS_CLAIM
-        return GapReport(q, s, p0, tuple(occ), None, verdict)
+        return GapReport(q, s, p0, tuple(occ.tolist()), None, verdict)
     # consecutive gaps, then the tail up to the horizon
-    max_gap = int(np.diff(np.array(occ, dtype=np.int64), append=horizon).max())
+    max_gap = int(np.diff(occ, append=horizon).max())
     verdict = BOUNDED_WITNESSED
     if bound is not None and max_gap > bound:
         verdict = GAP_EXCEEDS_CLAIM
-    return GapReport(q, s, p0, tuple(occ), max_gap, verdict)
+    return GapReport(q, s, p0, tuple(occ.tolist()), max_gap, verdict)
 
 
 def _sweep(

@@ -3,6 +3,14 @@
 Interval endpoints, angles and origins are QuadExt values, so membership at
 half-open endpoints is bit-exact.  Circular interval sets are stored cut at
 zero; a wrapping component splits in two.
+
+Lines are read on a fixed-point circle: x is stored as floor(x * 2^64) in
+a uint64, whose wraparound is reduction mod 1.  A point of the line
+start + ell*step is then off by less than 1 + sum|p_i| + ell*sum|q_i| units
+of 2^-64, and a cut by less than one.  While that bound is below
+_GUARD = 2^-30, a point at modular distance >= _GUARD from 0 and from every
+cut is labelled exactly; points inside that band, and multipliers where the
+bound reaches _GUARD, are decided with exact QuadExt arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyVisit, NotFound
-from .lattice import FiniteWord, Vector, WordSource
+from .lattice import FiniteWord, Vector, WordSource, vec_add, vec_scale
 from .quadratic import QuadExt
 
 LOWER = "lower"   # intervals [a, b), partition of [0, 1)
@@ -23,11 +31,9 @@ UPPER = "upper"   # intervals (a, b], partition of (0, 1]
 _ZERO = QuadExt()
 _ONE = QuadExt.rational(1)
 
-# The float orbit (_orbit) resyncs against exact arithmetic every _RESYNC
-# steps, so the drift (a few ulp per step) stays far below the _GUARD band
-# inside which points are re-decided exactly.
-_RESYNC = 4096
-_GUARD = 1e-9
+_UNIT = 1 << 64
+_GUARD = 2.0 ** -30
+_BAND = int(_GUARD * _UNIT)
 
 
 def _as_qext(value) -> QuadExt:
@@ -236,18 +242,20 @@ class RotationWordSpec:
 
     def word(self) -> WordSource:
         part = self.partition
-        cuts = np.array([c.to_float() for c in part.cuts])
-        edges = [0.0, 1.0, *cuts.tolist()]
+        angles = [_fixed(a) for a in self.alpha]
+        rho = _fixed(self.rho)
+        cuts = np.array([_fixed(c) for c in part.cuts], dtype=np.uint64)
         labels = np.array(part.labels, dtype=np.int64)
 
         def line(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
-            x0 = self.point(start)
-            delta = self.angle_along(step)
-            x, near = _orbit(x0, delta, ells, edges)
+            x0 = rho + sum(p * a for p, a in zip(start, angles))
+            delta = sum(q * a for q, a in zip(step, angles))
+            x, exact = _fixed_line(x0, delta, ells, cuts,
+                                   sum(map(abs, start)), sum(map(abs, step)))
             # strictness at the cut is immaterial outside the guard band
             out = labels[np.searchsorted(cuts, x, side="right")]
-            for i in np.flatnonzero(near).tolist():
-                out[i] = part.letter_at((x0 + delta * int(ells[i])).mod1())
+            for i in np.flatnonzero(exact).tolist():
+                out[i] = self.letter(vec_add(start, vec_scale(step, int(ells[i]))))
             return out
 
         alphabet = max(part.labels) + 1
@@ -255,27 +263,27 @@ class RotationWordSpec:
                           line_builder=line, name="rotation")
 
 
-def _orbit(x0: QuadExt, delta: QuadExt, ells: np.ndarray,
-           edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Float orbit points (x0 + ell*delta) mod 1 at increasing multipliers,
-    and a mask of those within _GUARD of an edge, which callers decide
-    exactly.
+def _fixed(x: QuadExt) -> int:
+    """floor(x * 2^64), exactly; mod 2^64 it is x on the fixed-point circle."""
+    return (x * _UNIT).floor()
 
-    Each point is base_k + (ell - k*_RESYNC)*delta with base_k the exact
-    point at k = ell // _RESYNC, so float drift never builds up past
-    _RESYNC steps.
-    """
-    ks = ells // _RESYNC
-    first = np.flatnonzero(np.diff(ks, prepend=-1))
-    bases = np.array([(x0 + delta * (k * _RESYNC)).mod1().to_float()
-                      for k in ks[first].tolist()])
-    x = np.repeat(bases, np.diff(first, append=len(ks)))
-    x += (ells - ks * _RESYNC) * delta.to_float()
-    x -= np.floor(x)
-    near = np.zeros(len(x), dtype=bool)
-    for e in edges:
-        near |= np.abs(x - e) < _GUARD
-    return x, near
+
+def _fixed_line(x0: int, delta: int, ells: np.ndarray, edges: np.ndarray,
+                spread_p: int, spread_q: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 points (x0 + ell*delta) mod 2^64 at increasing int64 ells, and
+    the mask of those to decide exactly: within _BAND of 0 or of an edge
+    (mod 2^64), or where the error bound 1 + spread_p + ell*spread_q
+    reaches _BAND."""
+    x = ells.astype(np.uint64) * np.uint64(delta % _UNIT) + np.uint64(x0 % _UNIT)
+    band = np.uint64(2 * _BAND)
+    exact = x + np.uint64(_BAND) < band
+    for e in edges.tolist():
+        exact |= x - np.uint64((e - _BAND) % _UNIT) < band
+    # the bound stays below _BAND while ell * spread_q < slack
+    slack = max(_BAND - 1 - spread_p, 0)
+    if spread_q or not slack:
+        exact[np.searchsorted(ells, -(-slack // max(spread_q, 1))):] = True
+    return x, exact
 
 
 def sturmian_spec(labels: Sequence[int] | None = None) -> RotationWordSpec:
@@ -315,21 +323,21 @@ def three_gap_analysis(delta: QuadExt, interval: IntervalSet, horizon: int) -> s
     the interval set.  The three-distance theorem caps the answer at 3 for
     irrational delta.
 
-    The orbit runs on floats (``_orbit``); any point within _GUARD of a
-    component edge or of the 0/1 seam is decided exactly instead.
+    The orbit runs on the fixed-point circle (``_fixed_line``); any point
+    within _GUARD of a component edge or of the 0/1 seam is decided
+    exactly instead.
     """
     if delta.is_rational():
         raise ValueError("three-gap analysis needs an irrational angle")
-    comps = [(lo.to_float(), hi.to_float()) for lo, hi in interval.components]
+    # component ends as uint64; an end at 1 is never below a point
+    ends = np.array([e for c in interval.components for e in map(_fixed, c)
+                     if e < _UNIT], dtype=np.uint64)
     ells = np.arange(horizon + 1, dtype=np.int64)
-    x, near = _orbit(_ZERO, delta, ells, [0.0, 1.0, *(e for c in comps for e in c)])
-    inside = np.zeros(len(x), dtype=bool)
-    for lo, hi in comps:
-        if interval.orientation == LOWER:
-            inside |= (lo <= x) & (x < hi)
-        else:
-            inside |= (lo < x) & (x <= hi)
-    for ell in np.flatnonzero(near).tolist():
+    x, exact = _fixed_line(0, _fixed(delta), ells, ends, 0, 1)
+    # components are disjoint and sorted, so a point is inside exactly
+    # when an odd number of ends lie at or below it
+    inside = np.searchsorted(ends, x, side="right") % 2 == 1
+    for ell in np.flatnonzero(exact).tolist():
         inside[ell] = interval.contains((delta * ell).mod1())
     visits = np.flatnonzero(inside)
     if not len(visits):
@@ -366,17 +374,7 @@ def _constant_run_along(spec: RotationWordSpec, q: Vector, delta: QuadExt,
     # the orbit advances by delta < min cell length / n, so the first cell it
     # enters from the left edge hosts a run of >= n letters; bound the scan by
     # one full revolution plus slack
-    part = spec.partition
     limit = int(2 / delta.to_float()) + 3 * n + 2
-    x = spec.point((0,) * spec.dimension)
-    run, prev = 0, None
-    for _ in range(limit):
-        letter = part.letter_at(x)
-        run = run + 1 if letter == prev else 1
-        prev = letter
-        if run >= n:
-            return True
-        x = x + delta
-        if x.compare(_ONE) >= 0:
-            x = x - 1
-    return False
+    line = spec.word().letters_along((0,) * spec.dimension, q, limit)
+    changes = np.flatnonzero(np.diff(line))
+    return bool(np.diff(changes, prepend=-1, append=limit - 1).max() >= n)

@@ -11,6 +11,7 @@ from multirec.generators import Morphism, morphism_to_json
 from multirec.lattice import FiniteWord, WordSource
 from multirec.recurrence import RecurrenceBudget
 from multirec.render import read_grid_fixture, to_text
+from multirec.rotation import sturmian_spec
 
 # diagonal block sequence of the derivative example, as published
 DIAGONAL_BLOCKS = "[0/1][1/0][1/1][0/1][0/1][0/0][0/1][1/0][0/1][1/0]"
@@ -261,6 +262,19 @@ def test_extract_one_dimensional_word(capsys):
     )
     assert code == 0
     assert out == "[01][11][10][01]\n"
+
+
+def test_extract_far_rotation_origin(capsys):
+    """Exact floors at 1e30 take a few enclosure steps, not a walk of
+    value * 2^-53 unit steps."""
+    far = 10**30
+    code, out, _ = run(
+        capsys, "extract", "--word", "sturmian", "--origin", f"{far},0",
+        "--dir", "1,0", "--size", "1x1", "--len", "2",
+    )
+    spec = sturmian_spec()
+    assert code == 0
+    assert out == f"[{spec.letter((far, 0))}][{spec.letter((far + 1, 0))}]\n"
 
 
 @pytest.fixture

@@ -104,3 +104,74 @@ def test_division_by_zero_rejected():
 def test_zero_and_one_constants():
     assert ZERO.is_zero()
     assert ONE.is_rational() and ONE.compare(1) == 0
+
+
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 1000),
+       st.sampled_from([2, 3, 5, 6, 7, 10, 1001]), st.integers(0, 256))
+def test_floor_of_scaled_square_roots_matches_isqrt(num, den, n, e):
+    """floor(c * sqrt(n) * 2^e) for c = num/den; sqrt(num^2 n 4^e) / den is
+    irrational, so a negative value floors one below minus its floor."""
+    below = math.isqrt(num * num * n << 2 * e) // den
+    x = QuadExt.sqrt(n, Fraction(num, den)) * (1 << e)
+    assert x.floor() == (below if num > 0 else -below - 1)
+
+
+def _sqrt_convergent(n: int, bound: int) -> tuple[int, int]:
+    """The first convergent p/q of sqrt(n) with q > bound: |p - q*sqrt(n)| < 1/q."""
+    a0 = math.isqrt(n)
+    m, d, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    while q1 <= bound:
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    return p1, q1
+
+
+def _near_zero() -> list[QuadExt]:
+    """Sums of square-root terms within 1e-30 of zero, of both signs."""
+    tiny = []
+    for n in (2, 3, 5, 7, 10, 11):
+        for bound in (10**31, 10**32):
+            p, q = _sqrt_convergent(n, bound)
+            tiny.append(QuadExt.rational(p) - QuadExt.sqrt(n, q))
+    x2, x3, x5 = tiny[0], tiny[2], tiny[4]
+    return tiny + [x2 + x3, x2 - x5, x3 * 3 + x5 / 7, x2 * Fraction(-2, 9) + x3]
+
+
+def _to_sympy(x: QuadExt):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(rad)
+                       for rad, c in x.coefficients().items()))
+
+
+def _sympy_floor(x: QuadExt) -> int:
+    """The floor of sympy's 100-digit evaluation, which raises its working
+    precision through cancellation.  sympy.floor itself is no oracle here:
+    it gives -3 for a value 6.4e-33 below -3."""
+    sympy = pytest.importorskip("sympy")
+    return int(sympy.floor(sympy.N(_to_sympy(x), 100)))
+
+
+@pytest.mark.parametrize("shift", [0, 1, -3, 12345678901234567890])
+def test_sign_and_floor_agree_with_sympy_near_zero_and_near_integers(shift):
+    sympy = pytest.importorskip("sympy")
+    for tiny in _near_zero():
+        assert 0 < abs(sympy.N(_to_sympy(tiny), 60)) < 1e-30
+        x = tiny + shift
+        assert tiny.sign() == int(sympy.sign(_to_sympy(tiny)))
+        assert x.floor() == _sympy_floor(x)
+        assert (-x).floor() == _sympy_floor(-x)
+
+
+def test_floor_of_fixed_point_circle_constants_agrees_with_sympy():
+    """The rotation words store each angle, origin and cut as
+    floor(x * 2^64); check those floors and the near-integer products of
+    large convergent multipliers."""
+    angles = [QuadExt.sqrt(2) - 1, QuadExt.sqrt(3) - 1, (QuadExt.sqrt(5) - 1) / 2]
+    for a in angles:
+        for scale in (1 << 64, 7645370045 << 64, 18457556052 << 64, 1 << 128):
+            x = a * scale
+            assert x.floor() == _sympy_floor(x)
+            assert (x - x.floor()).sign() == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,9 @@ from multirec.errors import NotFound
 from multirec.lattice import FiniteWord, factor_at
 from multirec.quadratic import QuadExt
 from multirec.rotation import (
+    _BAND,
     _GUARD,
+    _fixed_line,
     LOWER,
     UPPER,
     IntervalPartition,
@@ -64,7 +67,7 @@ def test_sturmian_first_letters():
     assert spec.letter((0, 1)) == 2
 
 
-# Increasing multipliers that straddle the float orbit's exact resyncs.
+# Sparse increasing multipliers, some clustered around 4096 and 8192.
 _multipliers = st.lists(
     st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8191, 8192, 8193]) | st.integers(0, 9000),
     min_size=1, max_size=12, unique=True,
@@ -137,6 +140,76 @@ def test_far_convergent_starts_read_their_exact_letters(start, step):
     the terms of their exact orbit point can resolve."""
     spec = sturmian_spec()
     assert spec.word().letters_along(start, step, 3).tolist() == _exact_letters(spec, start, step, range(3))
+
+
+def _best_denominators(alpha: QuadExt, lo: int, hi: int) -> list[int]:
+    """Convergent and intermediate denominators n in [lo, hi) of alpha,
+    where n*alpha lies closest to an integer for its size."""
+    dens = _convergent_denominators(alpha, 60)
+    return sorted({k * b + a for a, b in zip(dens, dens[1:])
+                   for k in range(4) if lo <= k * b + a < hi})
+
+
+def _orientations(spec):
+    return [RotationWordSpec(spec.alpha, spec.rho,
+                             IntervalPartition(spec.partition.cuts, orientation=o))
+            for o in (LOWER, UPPER)]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lines_straddling_the_fixed_point_bound_read_their_exact_letters(axis, sign):
+    """Along +-e_axis from 0 and from e_0, multiplier n is the point
+    +-n*alpha_axis (+ alpha_1), within 1e-9 of the seam (or the cut) for the
+    best denominators n of alpha_axis.  The error bound 1 + |start| + ell
+    crosses _BAND = 2^34 among them, and past it the uint64 point can be
+    off by more than the guard band, so only an exact read is sure to get
+    those letters right."""
+    base = sturmian_spec()
+    ells = [0, 1] + _best_denominators(base.alpha[axis], 1 << 30, 1 << 36)
+    assert ells[2] + 1 < _BAND <= ells[-1] + 1
+    step = tuple(sign if i == axis else 0 for i in range(2))
+    for spec in _orientations(base):
+        for start in ((0, 0), (1, 0)):
+            assert (spec.word().letters_along(start, step, ells).tolist()
+                    == _exact_letters(spec, start, step, ells))
+
+
+def test_fixed_line_switches_to_exact_reads_where_the_error_bound_reaches_the_band():
+    """Points at 1/2 are far from every edge, so only the error bound
+    1 + spread_p + ell * spread_q masks them."""
+    for spread_p, spread_q in ((0, 1), (1000, 3), (_BAND - 2, 5), (_BAND - 1, 1), (5, 0)):
+        ells = np.array(sorted({0, 1, 2, *(max(0, (_BAND - 1 - spread_p) // max(spread_q, 1) + j)
+                                           for j in (-1, 0, 1))}), dtype=np.int64)
+        _, exact = _fixed_line(1 << 63, 0, ells, np.array([], dtype=np.uint64),
+                               spread_p, spread_q)
+        assert exact.tolist() == [1 + spread_p + ell * spread_q >= _BAND for ell in ells.tolist()]
+
+
+def test_fixed_orbit_stays_uint64_and_wraps_mod_2_64():
+    """numpy 1.24 turns uint64 mixed with int64 into float64 without a
+    word; the orbit must stay exact integers mod 2^64."""
+    x0, delta = (1 << 64) - 12345, (1 << 63) + 987654321
+    ells = np.array([0, 1, 2, 3, 1 << 31, (1 << 62) + 7], dtype=np.int64)
+    edges = np.array([1 << 62, 3 << 62], dtype=np.uint64)
+    x, exact = _fixed_line(x0, delta, ells, edges, 0, 1)
+    assert x.dtype == np.uint64
+    assert x.tolist() == [(x0 + ell * delta) % (1 << 64) for ell in ells.tolist()]
+    assert exact.dtype == bool
+
+
+@pytest.mark.parametrize("delta", [SQRT2 - 1, (SQRT5 - 1) / 2, SQRT3 - 1])
+@pytest.mark.parametrize("orientation", [LOWER, UPPER])
+def test_three_gap_analysis_decides_orbit_points_on_a_component_edge(delta, orientation):
+    """Every component end is an orbit point (or the seam, where ell = 0
+    sits), which a uint64 read puts a unit off in one orientation."""
+    horizon = 300
+    x = [(delta * ell).mod1() for ell in range(horizon + 1)]
+    for lo, hi in ((x[3], x[8]), (x[8], x[3]), (x[0], x[5]), (x[5], QuadExt.rational(1))):
+        comps = [(lo, hi)] if lo < hi else [(lo, QuadExt.rational(1)), (x[0], hi)]
+        interval = IntervalSet(comps, orientation)
+        visits = [ell for ell in range(horizon + 1) if interval.contains(x[ell])]
+        assert three_gap_analysis(delta, interval, horizon) == set(np.diff(visits).tolist())
 
 
 def test_horizontal_pair_intervals_predict_sampled_occurrences():
