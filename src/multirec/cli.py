@@ -371,7 +371,7 @@ def cmd_derive(args) -> int:
         }
         if dw.scheme == UNIFORM:
             payload["table"] = [
-                [b.to_nested() for b in dw.tables[None].word_of(c)]
+                [b.to_nested() for b in dw.tables[None].blocks_of(c)]
                 for c in range(len(dw.tables[None]))
             ]
         emit(dump_json(payload), args.output)

@@ -1,12 +1,15 @@
 """Return words along directions and the derivative grids built from them.
 
-A return word here is the segment of the directional block word between two
-consecutive reappearances of its first block, kept as a tuple of blocks.
-Coding the segments in order of first appearance gives the unidimensional
-derivative of each line; stitching the lines together over the lattice
-gives a grid, either with one code table per direction or with one global
-table (in which case the origin has no well-defined code and is rendered
-as '?').
+Every block read along a direction is coded as one integer,
+sum_i letter_i * k^i over its cells i in storage order (k the alphabet
+size).  A return word here is the segment of that code sequence between two
+consecutive reappearances of its first block, kept as a tuple of block
+codes.  Coding the segments in order of first appearance gives the
+unidimensional derivative of each line; stitching the lines together over
+the lattice gives a grid, either with one code table per direction or with
+one global table (in which case the origin has no well-defined code and is
+rendered as '?').  Blocks become FiniteWords again only where a table is
+decoded for output.
 """
 
 from __future__ import annotations
@@ -19,23 +22,31 @@ import numpy as np
 
 from .errors import ReturnScanFailed
 from .lattice import FiniteWord, Vector, WordSource, iter_box
-from .recurrence import occurrence_indices
 from .render import UNDEFINED
 
 PER_DIRECTION = "PER_DIRECTION"
 UNIFORM = "UNIFORM"
 
-# A return word: consecutive directional blocks from one occurrence of the
-# prefix block up to (excluding) the next.
-ReturnWordT = tuple[FiniteWord, ...]
+# A return word: the codes of consecutive directional blocks from one
+# occurrence of the prefix block up to (excluding) the next.
+ReturnWordT = tuple[int, ...]
+
+
+def decode_block(code: int, size: Vector, alphabet_size: int) -> FiniteWord:
+    """The block of the given size behind a block code."""
+    k = alphabet_size
+    return FiniteWord(size, [code // k ** i % k for i in range(math.prod(size))])
 
 
 @dataclass(frozen=True)
 class CodeTable:
     """Bijection between return words and small integers, in assignment
-    order (the word first coded got 0)."""
+    order (the word first coded got 0), for blocks of the given size over
+    the given alphabet size."""
 
     order: tuple[ReturnWordT, ...]
+    size: Vector
+    alphabet_size: int
     _index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -49,8 +60,10 @@ class CodeTable:
     def code_of(self, rw: ReturnWordT) -> int:
         return self._index[rw]
 
-    def word_of(self, code: int) -> ReturnWordT:
-        return self.order[code]
+    def blocks_of(self, code: int) -> tuple[FiniteWord, ...]:
+        """The return word behind a code, decoded into its blocks."""
+        return tuple(decode_block(b, self.size, self.alphabet_size)
+                     for b in self.order[code])
 
 
 def directional_blocks(
@@ -61,6 +74,21 @@ def directional_blocks(
     s = tuple(size)
     columns = [w.letters_along(o, direction, count) for o in iter_box(s)]
     return [FiniteWord(s, cells) for cells in np.stack(columns, axis=1).tolist()]
+
+
+def block_codes(
+    w: WordSource, direction: Sequence[int], size: Sequence[int], count: int
+) -> np.ndarray:
+    """The codes of ``directional_blocks`` without building the blocks: one
+    Horner step per cell column, in int64 while k^cells <= 2^62 and in
+    Python ints (an object array) beyond."""
+    cells = list(iter_box(tuple(size)))
+    k = w.alphabet_size
+    dtype = np.int64 if k ** len(cells) <= 1 << 62 else object
+    codes = np.zeros(count, dtype=dtype)
+    for o in reversed(cells):
+        codes = codes * k + w.letters_along(o, direction, count).astype(dtype)
+    return codes
 
 
 def return_words_along(
@@ -74,22 +102,15 @@ def return_words_along(
     """
     q = tuple(direction)
     s = tuple(size)
-    occ = occurrence_indices(w, q, s, None, horizon)
+    codes = block_codes(w, q, s, horizon + 1)
+    occ = np.flatnonzero(codes == codes[0]).tolist()
+    codes = codes.tolist()
     if len(occ) < 2:
         raise ReturnScanFailed(
             f"prefix block of size {s} does not reappear along {q} within {horizon}"
         )
-    blocks = directional_blocks(w, q, s, occ[-1])
-    segments = [
-        tuple(blocks[a:b]) for a, b in zip(occ, occ[1:])
-    ]
-    order: list[ReturnWordT] = []
-    seen = set()
-    for seg in segments:
-        if seg not in seen:
-            seen.add(seg)
-            order.append(seg)
-    return segments, CodeTable(tuple(order))
+    segments = [tuple(codes[a:b]) for a, b in zip(occ, occ[1:])]
+    return segments, CodeTable(tuple(dict.fromkeys(segments)), s, w.alphabet_size)
 
 
 def _box_lines(box: Vector) -> dict[Vector, int]:
@@ -111,16 +132,14 @@ class DerivativeWord:
     """Grid of return-word codes on a box.
 
     codes is flat with the first coordinate fastest; UNDEFINED marks the
-    origin under the UNIFORM scheme.  words carries the actual return word
-    behind every cell (None at the origin), letting callers compare grids
-    across coding schemes.
+    origin under the UNIFORM scheme.  tables maps each direction
+    (PER_DIRECTION) or None (UNIFORM) to the code table behind the codes.
     """
 
     scheme: str
     size: Vector
     box: Vector
     codes: tuple[int, ...]
-    words: tuple[ReturnWordT | None, ...]
     tables: dict
     _grid: FiniteWord = field(init=False, repr=False, compare=False)
 
@@ -130,22 +149,9 @@ class DerivativeWord:
     def code_at(self, p: Sequence[int]) -> int:
         return self._grid[p]
 
-    def word_at(self, p: Sequence[int]) -> ReturnWordT | None:
-        return self.words[self._grid.flat_index(p)]
-
     def to_nested(self):
         """Nested lists, outer index = last coordinate (bottom row first)."""
         return self._grid.to_nested()
-
-    def code_classes(self) -> dict[ReturnWordT, frozenset]:
-        """Positions grouped by underlying return word, origin excluded."""
-        groups: dict[ReturnWordT, set] = {}
-        for p in iter_box(self.box):
-            rw = self.word_at(p)
-            if rw is None:
-                continue
-            groups.setdefault(rw, set()).add(p)
-        return {rw: frozenset(ps) for rw, ps in groups.items()}
 
     def distinct_codes(self) -> set[int]:
         return {c for c in self.codes if c != UNDEFINED}
@@ -167,6 +173,19 @@ def _scan_lines(
     return per_line
 
 
+def _grid_codes(box: Vector, origin: int, code_at) -> tuple[int, ...]:
+    """code_at(q, g) at every nonzero cell g*q of the box (q coprime), the
+    origin code at the origin."""
+    codes = []
+    for p in iter_box(box):
+        if not any(p):
+            codes.append(origin)
+            continue
+        g = math.gcd(*p)
+        codes.append(code_at(tuple(c // g for c in p), g))
+    return tuple(codes)
+
+
 def derivative_per_direction(
     w: WordSource,
     size: Sequence[int],
@@ -178,25 +197,13 @@ def derivative_per_direction(
     """
     s = tuple(size)
     box = tuple(box)
-    lines = _box_lines(box)
-    per_line = _scan_lines(w, s, lines, horizon)
+    per_line = _scan_lines(w, s, _box_lines(box), horizon)
     tables = {
-        q: CodeTable(tuple(dict.fromkeys(segs)))
+        q: CodeTable(tuple(dict.fromkeys(segs)), s, w.alphabet_size)
         for q, segs in per_line.items()
     }
-    codes = []
-    words: list[ReturnWordT | None] = []
-    for p in iter_box(box):
-        if not any(p):
-            codes.append(0)
-            words.append(None)
-            continue
-        g = math.gcd(*p)
-        q = tuple(c // g for c in p)
-        rw = per_line[q][g]
-        codes.append(tables[q].code_of(rw))
-        words.append(rw)
-    return DerivativeWord(PER_DIRECTION, s, box, tuple(codes), tuple(words), tables)
+    codes = _grid_codes(box, 0, lambda q, g: tables[q].code_of(per_line[q][g]))
+    return DerivativeWord(PER_DIRECTION, s, box, codes, tables)
 
 
 def derivative_uniform(
@@ -231,28 +238,12 @@ def derivative_uniform(
         ordered = [tuple(q) for q in scan_order]
         if set(ordered) != set(lines):
             raise ValueError("scan order must cover exactly the scanned directions")
-    order: list[ReturnWordT] = []
-    seen = set()
-    for q in ordered:
-        for ell in range(lines[q] + 1):
-            rw = per_line[q][ell]
-            if rw not in seen:
-                seen.add(rw)
-                order.append(rw)
-    table = CodeTable(tuple(order))
-    codes = []
-    words: list[ReturnWordT | None] = []
-    for p in iter_box(box):
-        if not any(p):
-            codes.append(UNDEFINED)
-            words.append(None)
-            continue
-        g = math.gcd(*p)
-        q = tuple(c // g for c in p)
-        rw = per_line[q][g]
-        codes.append(table.code_of(rw))
-        words.append(rw)
-    return DerivativeWord(UNIFORM, s, box, tuple(codes), tuple(words), {None: table})
+    order = dict.fromkeys(
+        per_line[q][ell] for q in ordered for ell in range(lines[q] + 1)
+    )
+    table = CodeTable(tuple(order), s, w.alphabet_size)
+    codes = _grid_codes(box, UNDEFINED, lambda q, g: table.code_of(per_line[q][g]))
+    return DerivativeWord(UNIFORM, s, box, codes, {None: table})
 
 
 def decode_line(
@@ -260,10 +251,7 @@ def decode_line(
 ) -> list[FiniteWord]:
     """Concatenate the return words behind a code sequence back into the
     directional block word they came from."""
-    out: list[FiniteWord] = []
-    for c in codes:
-        out.extend(table.word_of(c))
-    return out
+    return [block for c in codes for block in table.blocks_of(c)]
 
 
 def grids_agree_up_to_bijection(a: DerivativeWord, b: DerivativeWord) -> bool:

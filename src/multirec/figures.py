@@ -95,7 +95,7 @@ def check_der2(grid: DerivativeWord | None = None) -> FigureReport:
     grid = grid or _uniform_grid()
     codes = tuple(c for row in rows for c in row)
     box = (len(rows[0]), len(rows))
-    figure = DerivativeWord(UNIFORM, grid.size, box, codes, (None,) * len(codes), {})
+    figure = DerivativeWord(UNIFORM, grid.size, box, codes, {})
     ok = grids_agree_up_to_bijection(figure, grid)
     detail = "27x8 code grid up to bijection, " + ("0 mismatches" if ok else "code classes differ")
     return FigureReport("der2", ok, detail)
@@ -120,7 +120,8 @@ def read_table_codes() -> dict[int, tuple[FiniteWord, ...]]:
 
 def check_table_codes(grid: DerivativeWord | None = None) -> FigureReport:
     table = read_table_codes()
-    mine = (grid or _uniform_grid()).tables[None].order
+    coded = (grid or _uniform_grid()).tables[None]
+    mine = [coded.blocks_of(c) for c in range(len(coded))]
     same = len(mine) == len(table) and set(mine) == set(table.values())
     detail = f"{len(mine)} return words coded, fixture lists {len(table)}"
     return FigureReport("table-codes", same, detail)

@@ -16,8 +16,29 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionBug, NotProlongable
-from .lattice import (FiniteWord, Vector, WordSource, iter_box, vec_add,
-                      vec_scale)
+from .lattice import FiniteWord, Vector, WordSource, vec_add, vec_scale
+
+# ---------------------------------------------------------------------------
+# line reads
+
+# The Thue-Morse, gcd and Toeplitz line builders read lines whose
+# coordinates all lie in [0, _FAR) as uint64 arrays, and any other line
+# pointwise through the evaluator, which is exact at any size.
+_FAR = 1 << 62
+
+
+def _integer_line_builder(ev, letters_of):
+    def lb(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
+        if len(ells):
+            ends = [s + t * int(e) for s, t in zip(start, step) for e in (ells[0], ells[-1])]
+            if min(ends) >= 0 and max(*ends, *map(abs, step)) < _FAR:
+                return letters_of(*[(s + t * ells).astype(np.uint64)
+                                    for s, t in zip(start, step)])
+        return np.array([ev(vec_add(start, vec_scale(step, ell))) for ell in ells.tolist()],
+                        dtype=np.int64)
+
+    return lb
+
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -194,7 +215,7 @@ class Morphism:
             if not len(ells):
                 return np.empty(0, dtype=np.int64)
             top = max(s + t * int(ells[-1]) for s, t in zip(start, step))
-            if min(start) < 0 or min(step) < 0 or top >= 1 << 40:
+            if min(start) < 0 or min(step) < 0 or max(top, *step) >= 1 << 40:
                 return np.array([self.letter_in_fixed_point(a, vec_add(start, vec_scale(step, ell)))
                                  for ell in ells.tolist()], dtype=np.int64)
             m, table = self._chunk_table()
@@ -283,8 +304,18 @@ def thue_morse(n: int) -> int:
     return n.bit_count() & 1
 
 
+def _parity64(v: np.ndarray) -> np.ndarray:
+    """thue_morse on a uint64 array, by xor-folding the bits onto bit 0
+    (np.bitwise_count needs numpy 2)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> np.uint64(shift))
+    return (v & np.uint64(1)).astype(np.int64)
+
+
 def thue_morse_word() -> WordSource:
-    return WordSource(1, 2, lambda p: thue_morse(p[0]), name="thue-morse")
+    ev = lambda p: thue_morse(p[0])
+    return WordSource(1, 2, ev, line_builder=_integer_line_builder(ev, _parity64),
+                      name="thue-morse")
 
 
 def fibonacci_word(n: int) -> int:
@@ -299,7 +330,14 @@ def gcd_word(u: WordSource, d: int) -> WordSource:
     if u.dimension != 1:
         raise ValueError("gcd placement needs a unidimensional word")
     ev = lambda p: u.letter((math.gcd(*p),))
-    return WordSource(d, u.alphabet_size, ev, name=f"gcd[{u.name}]")
+
+    def letters_of(*coords: np.ndarray) -> np.ndarray:
+        # One read of u at the distinct gcds, in increasing order.
+        gcds, inverse = np.unique(np.gcd.reduce(np.stack(coords)), return_inverse=True)
+        return u.letters_along((0,), (1,), gcds)[inverse]
+
+    return WordSource(d, u.alphabet_size, ev, line_builder=_integer_line_builder(ev, letters_of),
+                      name=f"gcd[{u.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +376,18 @@ def toeplitz_rows_word() -> WordSource:
 # Toeplitz-style filling
 
 
-def _mix64(*values: int) -> int:
-    """SplitMix64 finalizer folded over the inputs; stateless and stable."""
-    h = 0x9E3779B97F4A7C15
+def _mix64(*values: int | np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer folded over the inputs, elementwise over uint64
+    arrays (ints are reduced mod 2^64); stateless and stable."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    h = np.array([golden])
     for v in values:
-        h = (h + (v & 0xFFFFFFFFFFFFFFFF) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 31
+        if isinstance(v, int):
+            v = np.uint64(v & 0xFFFFFFFFFFFFFFFF)
+        h = h + v + golden
+        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        h = h ^ (h >> np.uint64(31))
     return h
 
 
@@ -357,9 +399,9 @@ SEEDED_RANDOM = "random"
 class ToeplitzSchedule:
     """Parameters of the doubly periodic filling.
 
-    ``steps`` is the guaranteed materialization depth (the box
-    [0, 2^(steps+1))^2 is fully assigned); evaluation beyond it extends the
-    schedule lazily with the same deterministic choices.
+    ``steps`` names a materialization depth: ``materialize(steps)`` fully
+    assigns the box [0, 2^(steps+1))^2.  Letters inside or outside it come
+    from the closed form of the filling order (see ToeplitzWord).
     """
 
     steps: int = 5
@@ -381,94 +423,91 @@ class ToeplitzSchedule:
 
 
 class ToeplitzWord:
-    """Lazy evaluator for the step-by-step periodic filling.
+    """Evaluator for the step-by-step periodic filling.
 
     Step 0 writes the base letter on the even sublattice; step 1 fills the
     residues (0,1), (1,0), (1,1) modulo 4; step n >= 2 fills every cell of
     [0, 2^(n+1))^2 still unassigned and repeats it with period 2^(n+2).
-    A cell's letter therefore only depends on the step at which its residue
-    class was filled, which ``_fill_of`` resolves recursively.
+    A cell's letter therefore only depends on the step n that filled its
+    class and on the class's anchor, the cell modulo the period.  In closed
+    form, with o = x | y for the cell (x, y): n = 0 when o is even, n = 1
+    when bit 1 of o is 0, else the least n >= 2 whose bit n + 1 of o is 0.
+    ``letter`` evaluates it on ints of any size, the line builder on uint64
+    arrays; ``materialize`` runs the construction itself.
     """
-
-    _STEP1 = ((0, 1), (1, 0), (1, 1))
 
     def __init__(self, schedule: ToeplitzSchedule):
         self.schedule = schedule
-        self._memo: dict[Vector, tuple[int, Vector]] = {}
 
-    def _choice(self, step: int, cell: Vector) -> int:
+    def _choice(self, step, x, y) -> np.ndarray:
+        """The letters filled at the given steps into the classes anchored
+        at (x, y), as int64: ints, or uint64 arrays of x's shape."""
         s = self.schedule
         if s.policy == CONSTANT:
-            return s.fill_letter
-        return _mix64(s.seed, step, *cell) % s.alphabet_size
-
-    def _fill_of(self, p: Vector) -> tuple[int, Vector]:
-        """(step, anchor cell in S_step) for the class containing p."""
-        if p[0] % 2 == 0 and p[1] % 2 == 0:
-            return 0, (0, 0)
-        r4 = (p[0] % 4, p[1] % 4)
-        if r4 in self._STEP1:
-            return 1, r4
-        hit = self._memo.get(p)
-        if hit is not None:
-            return hit
-        n = 2
-        while True:
-            mod = 1 << (n + 2)
-            box = 1 << (n + 1)
-            r = (p[0] % mod, p[1] % mod)
-            if r[0] < box and r[1] < box:
-                if r == p or self._fill_of(r)[0] == n:
-                    out = (n, r)
-                    self._memo[p] = out
-                    return out
-            n += 1
+            return np.full(np.shape(x), s.fill_letter, dtype=np.int64)
+        mixed = _mix64(s.seed, step, x, y) % np.uint64(s.alphabet_size)
+        return mixed.astype(np.int64)
 
     def letter(self, p: Sequence[int]) -> int:
-        p = tuple(p)
-        step, cell = self._fill_of(p)
-        if step == 0:
+        x, y = p
+        o = x | y
+        if not o & 1:
             return self.schedule.base_letter
-        return self._choice(step, cell)
+        if not o & 2:
+            step, period = 1, 4
+        else:
+            clear = ~o >> 3  # bit j set: bit j + 3 of o is 0
+            lowest = clear & -clear
+            if not lowest:  # a negative o, with no 0 bit above bit 2
+                raise ValueError(f"no filling step reaches {tuple(p)}")
+            step, period = lowest.bit_length() + 1, lowest << 4
+        return self._choice(step, x & (period - 1), y & (period - 1)).item()
+
+    def _letters(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``letter`` on uint64 coordinate arrays below 2^62."""
+        zero, one = np.uint64(0), np.uint64(1)
+        o = x | y
+        clear = ~o >> np.uint64(3)  # never 0: bits 59 and 60 are set
+        lowest = clear & (~clear + one)
+        # lowest = 2^(step - 2), whose frexp exponent is step - 1.
+        step = np.frexp(lowest.astype(np.float64))[1].astype(np.uint64) + one
+        period = lowest << np.uint64(4)
+        first = (o & np.uint64(2)) == zero
+        step[first] = one
+        period[first] = np.uint64(4)
+        letters = self._choice(step, x & (period - one), y & (period - one))
+        letters[(o & one) == zero] = self.schedule.base_letter
+        return letters
 
     def source(self) -> WordSource:
         tag = f"toeplitz[{self.schedule.policy},seed={self.schedule.seed}]"
-        return WordSource(2, self.schedule.alphabet_size, self.letter, name=tag)
+        return WordSource(2, self.schedule.alphabet_size, self.letter,
+                          line_builder=_integer_line_builder(self.letter, self._letters),
+                          name=tag)
 
     def materialize(self, steps: int) -> dict[Vector, int]:
         """Run the construction eagerly for the given number of steps and
         return the fully assigned box [0, 2^(steps+1))^2.  Double assignment
         of a cell raises ConstructionBug (the classes are disjoint by
-        construction, so this must never fire)."""
-        grid: dict[Vector, int] = {}
+        construction, so this must never fire).
+
+        Step n fills the unassigned cells of [0, box)^2 with period
+        2 * box: box is 1 at step 0, 2 at step 1 and 2^(n+1) after."""
         side = 1 << (steps + 1)
-
-        def put(cell: Vector, letter: int) -> None:
-            if grid.get(cell, letter) != letter:
-                raise ConstructionBug(f"cell {cell} assigned twice")
-            grid[cell] = letter
-
-        for x in range(0, side, 2):
-            for y in range(0, side, 2):
-                put((x, y), self.schedule.base_letter)
-        for rx, ry in self._STEP1:
-            val = self._choice(1, (rx, ry))
-            for x in range(rx, side, 4):
-                for y in range(ry, side, 4):
-                    put((x, y), val)
-        for n in range(2, steps + 1):
-            mod = 1 << (n + 2)
-            box = 1 << (n + 1)
-            fresh = [c for c in iter_box((box, box)) if c not in grid]
-            for cell in fresh:
-                val = self._choice(n, cell)
-                for x in range(cell[0], side, mod):
-                    for y in range(cell[1], side, mod):
-                        put((x, y), val)
-        missing = [c for c in iter_box((side, side)) if c not in grid]
-        if missing:
-            raise ConstructionBug(f"{len(missing)} cells unassigned after step {steps}")
-        return grid
+        grid = np.full((side, side), -1, dtype=np.int64)
+        for n in range(steps + 1):
+            box = 1 << (n + (n >= 2))
+            xs, ys = np.nonzero(grid[:box, :box] < 0)
+            letters = (self._choice(n, xs.astype(np.uint64), ys.astype(np.uint64)).tolist()
+                       if n else [self.schedule.base_letter])
+            for x, y, letter in zip(xs.tolist(), ys.tolist(), letters):
+                cls = grid[x::2 * box, y::2 * box]
+                if (cls >= 0).any():
+                    raise ConstructionBug(f"class of cell {(x, y)} assigned twice")
+                cls[...] = letter
+        if (grid < 0).any():
+            raise ConstructionBug(f"{(grid < 0).sum()} cells unassigned after step {steps}")
+        return {(x, y): c for x, column in enumerate(grid.tolist()) for y, c in enumerate(column)}
 
 
 def toeplitz_construct(schedule: ToeplitzSchedule) -> WordSource:

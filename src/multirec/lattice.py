@@ -55,7 +55,7 @@ class FiniteWord:
 
     Cells are stored flat with the first coordinate fastest, so a 2-D block
     is a stack of rows from bottom to top.  Instances are immutable and
-    hashable (return-word coding keys on them).
+    hashable.
     """
 
     __slots__ = ("size", "cells", "_hash")
@@ -153,9 +153,9 @@ class WordSource:
     ``line_builder``, when given, batch-evaluates letters along an
     arithmetic line: ``line_builder(start, step, ells)`` returns the int64
     array of letters at start + ell*step for an increasing int64 array
-    ``ells`` of multipliers.  Sources with cheap vectorised state (rotation
-    orbits, morphic digit walks m digits per table lookup) use it instead
-    of one evaluator call per position.
+    ``ells`` of multipliers.  Rotation orbits, morphic digit walks (m
+    digits per table lookup), Thue-Morse parities, gcd placements and the
+    Toeplitz filling use it instead of one evaluator call per position.
     Evaluators must be deterministic; internal memoization is allowed but
     invisible.
     """

@@ -277,6 +277,33 @@ def test_extract_far_rotation_origin(capsys):
     assert out == f"[{spec.letter((far, 0))}][{spec.letter((far + 1, 0))}]\n"
 
 
+@pytest.mark.parametrize("word, origin, direction, size, expected", [
+    ("gcd-thue-morse", f"{10**23},3", "1,1", "1x1", "[1][1][1][1]"),
+    ("thue-morse", f"{10**23}", "1", "1", "[1][0][0][1]"),
+    ("toeplitz-random", f"{10**23},3", "1,1", "1x1", "[0][0][1][1]"),
+])
+def test_extract_far_origin_of_the_integer_line_builders(capsys, word, origin, direction,
+                                                         size, expected):
+    """Coordinates past int64 are read pointwise, exact at any size."""
+    code, out, _ = run(
+        capsys, "extract", "--word", word, "--origin", origin,
+        "--dir", direction, "--size", size, "--len", "4",
+    )
+    assert code == 0
+    assert out == expected + "\n"
+
+
+def test_extract_toeplitz_cell_that_no_step_fills(capsys):
+    """Every bit of x | y is set at (-1, 0), so no filling step reaches it."""
+    code, out, err = run(
+        capsys, "extract", "--word", "toeplitz-random", "--origin=-3,0",
+        "--dir", "1,0", "--size", "1x1", "--len", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "no filling step reaches (-1, 0)" in err
+
+
 @pytest.fixture
 def no_reads(monkeypatch):
     """Make every letter read and every substitution fail the test."""

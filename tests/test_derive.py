@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from multirec.derive import (
     UNDEFINED,
+    UNIFORM,
+    DerivativeWord,
+    block_codes,
+    decode_block,
     decode_line,
     derivative_per_direction,
     derivative_uniform,
@@ -12,8 +19,8 @@ from multirec.derive import (
     return_words_along,
 )
 from multirec.errors import ReturnScanFailed
-from multirec.generators import preset_word, thue_morse_word
-from multirec.lattice import WordSource, vec_scale
+from multirec.generators import gcd_word, preset_word, thue_morse_word
+from multirec.lattice import WordSource, iter_box, vec_scale
 
 
 def constant_word(letter: int = 0) -> WordSource:
@@ -34,9 +41,11 @@ def test_return_word_lengths_stay_small():
 
 
 def test_thue_morse_return_words_of_011():
+    """A block's first letter is its code mod k, so each return word is
+    spelled by the first letters of its blocks."""
     segments, _ = return_words_along(thue_morse_word(), (1,), (3,), horizon=64)
     spelled = {
-        "".join(str(block[(0,)]) for block in seg) for seg in segments
+        "".join(str(code % 2) for code in seg) for seg in segments
     }
     assert spelled == {"011010", "011001", "01101001", "0110"}
 
@@ -80,10 +89,24 @@ def test_uniform_first_row_uses_two_codes():
 
 
 def test_schemes_induce_the_same_partition():
+    """Relabel every per-direction cell by the return word behind its code
+    in its direction's table: the result is the uniform grid up to a
+    bijection of codes."""
     w = preset_word("surd-not-ssurdo-2x2")
     per = derivative_per_direction(w, (1, 2), (6, 6), horizon=512)
     uni = derivative_uniform(w, (1, 2), (6, 6), horizon=512)
-    assert per.code_classes() == uni.code_classes()
+    labels: dict = {}
+    relabeled = []
+    for p in iter_box(per.box):
+        if not any(p):
+            relabeled.append(UNDEFINED)
+            continue
+        g = math.gcd(*p)
+        rw = per.tables[tuple(c // g for c in p)].order[per.code_at(p)]
+        relabeled.append(labels.setdefault(rw, len(labels)))
+    by_word = DerivativeWord(UNIFORM, per.size, per.box, tuple(relabeled), {})
+    assert grids_agree_up_to_bijection(by_word, uni)
+    assert set(labels) <= set(uni.tables[None].order)
 
 
 def test_grid_is_a_bijection_of_itself_after_relabeling():
@@ -100,10 +123,6 @@ def test_grid_is_a_bijection_of_itself_after_relabeling():
 
 
 def _dirs(box):
-    import math
-
-    from multirec.lattice import iter_box
-
     out = set()
     for p in iter_box(box):
         if any(p):
@@ -120,6 +139,29 @@ def test_decode_round_trip():
     codes = [dw.code_at(vec_scale(q, ell)) for ell in range(8)]
     decoded = decode_line(table, codes)
     assert decoded == directional_blocks(w, q, (1, 2), len(decoded))
+
+
+@pytest.mark.parametrize("w, q, size, dtype", [
+    (preset_word("surd-not-ssurdo-2x2"), (1, 1), (1, 2), np.int64),
+    (gcd_word(thue_morse_word(), 2), (2, 1), (3, 2), np.int64),
+    # 2^62 is the largest code range kept in int64; 2^64 is not.
+    (thue_morse_word(), (1,), (62,), np.int64),
+    (thue_morse_word(), (1,), (64,), object),
+])
+def test_block_codes_decode_to_the_directional_blocks(w, q, size, dtype):
+    codes = block_codes(w, q, size, 40)
+    assert codes.dtype == dtype
+    assert [decode_block(c, size, w.alphabet_size) for c in codes.tolist()] == \
+        directional_blocks(w, q, size, 40)
+
+
+def test_decode_round_trip_past_int64():
+    """Size-64 Thue-Morse blocks have codes up to 2^64 - 1, kept as ints."""
+    w = thue_morse_word()
+    segments, table = return_words_along(w, (1,), (64,), horizon=512)
+    assert max(max(seg) for seg in segments) >= 1 << 63
+    decoded = decode_line(table, [table.code_of(seg) for seg in segments])
+    assert decoded == directional_blocks(w, (1,), (64,), len(decoded))
 
 
 def test_scan_box_must_contain_the_grid():

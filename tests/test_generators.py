@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from multirec.generators import (
     toeplitz_rows_word,
 )
 from multirec.lattice import FiniteWord, factor_at, iter_box, vec_add, vec_scale
+from multirec.recurrence import sample_grid
 
 
 def test_thue_morse_prefix():
@@ -353,6 +355,15 @@ def test_toeplitz_materialization_is_conflict_free():
             assert tw.letter(cell) == letter
 
 
+def test_toeplitz_materialization_matches_line_reads():
+    tw = ToeplitzWord(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=7, alphabet_size=3))
+    grid = tw.materialize(8)
+    side = 1 << 9
+    lines = sample_grid(tw.source(), (side, side))
+    assert len(grid) == side * side
+    assert all(lines[cell] == letter for cell, letter in grid.items())
+
+
 def test_seeded_toeplitz_is_reproducible_and_seed_sensitive():
     a = toeplitz_construct(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=3))
     b = toeplitz_construct(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=3))
@@ -361,3 +372,145 @@ def test_seeded_toeplitz_is_reproducible_and_seed_sensitive():
     va = [a.letter(p) for p in probe]
     assert va == [b.letter(p) for p in probe]
     assert va != [c.letter(p) for p in probe]
+
+
+# ---------------------------------------------------------------------------
+# integer line builders against independent references
+
+_FAR = 1 << 62
+
+
+def _scalar_mix64(*values: int) -> int:
+    """SplitMix64 finalizer folded over the inputs, on Python ints."""
+    h = 0x9E3779B97F4A7C15
+    for v in values:
+        h = (h + (v & 0xFFFFFFFFFFFFFFFF) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        h ^= h >> 31
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive_fill_of(p: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+    """(step, anchor) of p's class, by running the filling order: the first
+    n >= 2 whose box [0, 2^(n+1))^2 holds p's residue modulo 2^(n+2) while
+    that residue is still unfilled before step n."""
+    if p[0] % 2 == 0 and p[1] % 2 == 0:
+        return 0, (0, 0)
+    r4 = (p[0] % 4, p[1] % 4)
+    if r4 in ((0, 1), (1, 0), (1, 1)):
+        return 1, r4
+    n = 2
+    while True:
+        mod, box = 1 << (n + 2), 1 << (n + 1)
+        r = (p[0] % mod, p[1] % mod)
+        if r[0] < box and r[1] < box and (r == p or _recursive_fill_of(r)[0] == n):
+            return n, r
+        n += 1
+
+
+def _recursive_toeplitz_letter(schedule: ToeplitzSchedule, p: tuple[int, int]) -> int:
+    step, cell = _recursive_fill_of(tuple(p))
+    if step == 0:
+        return schedule.base_letter
+    if schedule.policy == CONSTANT:
+        return schedule.fill_letter
+    return _scalar_mix64(schedule.seed, step, *cell) % schedule.alphabet_size
+
+
+@st.composite
+def toeplitz_points(draw):
+    """Points below 2^62, half of them with x | y = 2^k - 1 (the longest
+    recursion for their size)."""
+    coordinate = st.integers(0, 300) | st.integers(0, _FAR - 1)
+    x, y = draw(coordinate), draw(coordinate)
+    if draw(st.booleans()):
+        ones = (1 << draw(st.integers(1, 62))) - 1
+        x &= ones
+        y = (y & ones) | (ones & ~x)
+    return x, y
+
+
+@given(toeplitz_points(), st.integers(0, 5), st.integers(2, 4))
+@settings(max_examples=300, deadline=None)
+def test_toeplitz_closed_form_matches_the_recursive_filling(p, seed, k):
+    schedule = ToeplitzSchedule(policy=SEEDED_RANDOM, seed=seed, alphabet_size=k)
+    tw = ToeplitzWord(schedule)
+    expected = _recursive_toeplitz_letter(schedule, p)
+    assert tw.letter(p) == expected
+    assert tw.source().letters_along(p, (1, 0), 1).tolist() == [expected]
+
+
+_REFERENCES = {
+    "thue-morse": (thue_morse_word, lambda p: p[0].bit_count() & 1),
+    "gcd-thue-morse": (lambda: gcd_word(thue_morse_word(), 2),
+                       lambda p: math.gcd(*p).bit_count() & 1),
+    "toeplitz-random": (
+        lambda: toeplitz_construct(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=9)),
+        lambda p: _recursive_toeplitz_letter(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=9), p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+@pytest.mark.parametrize("first", [_FAR - 12, _FAR - 6, _FAR - 1, _FAR, 1 << 63, 10**23])
+def test_integer_line_builders_across_2_62(name, first):
+    """Lines below 2^62 run in uint64; lines reaching it are read pointwise."""
+    build, reference = _REFERENCES[name]
+    w = build()
+    d = w.dimension
+    start = (first,) + (6,) * (d - 1)
+    step = (1,) * d
+    line = w.letters_along(start, step, 12)
+    assert line.dtype == np.int64
+    assert line.tolist() == [reference(vec_add(start, vec_scale(step, ell))) for ell in range(12)]
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+def test_integer_line_builders_return_int64(name):
+    w = _REFERENCES[name][0]()
+    d = w.dimension
+    for count in (0, 1, 40):
+        line = w.letters_along((0,) * d, (3,) + (1,) * (d - 1), count)
+        assert line.dtype == np.int64 and line.shape == (count,)
+
+
+@pytest.mark.parametrize("w", [_REFERENCES[name][0]() for name in sorted(_REFERENCES)]
+                         + [preset_word("sierpinski")])
+def test_a_step_past_int64_with_one_multiplier_is_read_pointwise(w):
+    d = w.dimension
+    assert w.letters_along((1,) * d, (10**20,) * d, 1).tolist() == [w.letter((1,) * d)]
+
+
+def test_thue_morse_parity_is_exact_at_all_ones():
+    w = thue_morse_word()
+    points = [0] + [(1 << k) - 1 for k in range(1, 63)]
+    assert w.letters_along((0,), (1,), points).tolist() == [n.bit_count() & 1 for n in points]
+    # The last multiplier puts the line at 2^62, so it is read pointwise.
+    assert w.letters_along((0,), (1,), points + [_FAR]).tolist() == \
+        [n.bit_count() & 1 for n in points + [_FAR]]
+
+
+def test_gcd_line_builder_reads_the_seed_word_on_the_axes():
+    u = thue_morse_word()
+    seed = u.letters_along((0,), (1,), 64).tolist()
+    for d in (2, 3):
+        w = gcd_word(u, d)
+        assert w.letters_along((0,) * d, (1,) * d, [0]).tolist() == [u.letter((0,))]
+        for axis in range(d):
+            step = tuple(int(i == axis) for i in range(d))
+            assert w.letters_along((0,) * d, step, 64).tolist() == seed
+
+
+@pytest.mark.parametrize("start, step", [((0, 12), (1, 0)), ((5, 3), (2, 3)), ((7, 0, 9), (1, 3, 0))])
+def test_gcd_lines_match_math_gcd(start, step):
+    w = gcd_word(thue_morse_word(), len(start))
+    expected = [math.gcd(*vec_add(start, vec_scale(step, ell))).bit_count() & 1
+                for ell in range(80)]
+    assert w.letters_along(start, step, 80).tolist() == expected
+
+
+def test_gcd_lines_through_negative_coordinates_are_read_pointwise():
+    w = gcd_word(thue_morse_word(), 2)
+    line = w.letters_along((3, 2), (-1, 1), 8)
+    assert line.tolist() == [math.gcd(3 - ell, 2 + ell).bit_count() & 1 for ell in range(8)]
