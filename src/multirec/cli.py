@@ -40,7 +40,7 @@ from .recurrence import (
     check_ur_empirical,
     check_urd_empirical,
 )
-from .render import FORMATS, TEXT, UNDEFINED, RenderSpec, render_rows, sample_rows
+from .render import FORMATS, TEXT, UNDEFINED, render_rows, sample_rows
 from .residues import family_c
 from .rotation import sturmian_spec
 
@@ -180,7 +180,6 @@ def dump_json(obj) -> str:
 
 
 def cmd_generate(args) -> int:
-    spec = RenderSpec(format=args.format)
     if args.iterate is not None:
         if args.box is not None:
             raise _Usage("--box and --iterate are mutually exclusive")
@@ -189,7 +188,7 @@ def cmd_generate(args) -> int:
         _check_read_size(f"--iterate {args.iterate}", math.prod(phi.dims) ** min(args.iterate, 64))
         grid = phi.iterate(args.letter, args.iterate)
         rows = sample_rows(grid, grid.size)
-        emit(render_rows(rows, max(len(phi.images), 2), spec), args.output)
+        emit(render_rows(rows, max(len(phi.images), 2), args.format), args.output)
         return 0
     if args.box is None:
         raise _Usage("generate needs --box (or --iterate)")
@@ -202,7 +201,7 @@ def cmd_generate(args) -> int:
         raise _Usage(f"box {args.box} has wrong dimension for this word")
     _check_read_size(f"--box {args.box}", math.prod(box))
     rows = sample_rows(w, box)
-    emit(render_rows(rows, w.alphabet_size, spec), args.output)
+    emit(render_rows(rows, w.alphabet_size, args.format), args.output)
     return 0
 
 

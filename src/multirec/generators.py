@@ -3,7 +3,9 @@ words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
 fixed points have two digit walks, one per letter and one per line (see
 Morphism); the line walk reads m digits per table lookup into the images of
 phi^m.  ``Morphism.iterate`` substitutes and walks no digits, so it is a
-reference for both."""
+reference for both.  Line builders are plain numpy kernels:
+``WordSource.letters_along`` hands them only nonempty lines inside N^d
+below its 2^62 reach, and reads every other line pointwise."""
 
 from __future__ import annotations
 
@@ -16,28 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionBug, NotProlongable
-from .lattice import FiniteWord, Vector, WordSource, vec_add, vec_scale
-
-# ---------------------------------------------------------------------------
-# line reads
-
-# The Thue-Morse, gcd and Toeplitz line builders read lines whose
-# coordinates all lie in [0, _FAR) as uint64 arrays, and any other line
-# pointwise through the evaluator, which is exact at any size.
-_FAR = 1 << 62
+from .lattice import FiniteWord, Vector, WordSource
 
 
-def _integer_line_builder(ev, letters_of):
-    def lb(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
-        if len(ells):
-            ends = [s + t * int(e) for s, t in zip(start, step) for e in (ells[0], ells[-1])]
-            if min(ends) >= 0 and max(*ends, *map(abs, step)) < _FAR:
-                return letters_of(*[(s + t * ells).astype(np.uint64)
-                                    for s, t in zip(start, step)])
-        return np.array([ev(vec_add(start, vec_scale(step, ell))) for ell in ells.tolist()],
-                        dtype=np.int64)
-
-    return lb
+def _uint64_line(letters_of):
+    """The line builder that hands letters_of the line's uint64 coordinate arrays."""
+    return lambda start, step, ells: letters_of(*[(s + t * ells).astype(np.uint64)
+                                                  for s, t in zip(start, step)])
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +51,7 @@ class Morphism:
     (mixed radix s_j, most significant first) by two walks: the pure-Python
     ``letter_in_fixed_point``, exact at any coordinate size, for single
     letters and as the tests' reference; and the numpy ``_line_evaluator``
-    for whole lines, which falls back to it from ``1 << 40`` on.
+    for whole lines below 2^62.
 
     A fixed point of phi is also one of phi^m, so the line walk reads m
     base-s_j digits as one base-s_j^m digit: one gather per chunk into a
@@ -212,12 +199,7 @@ class Morphism:
         """
 
         def lb(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
-            if not len(ells):
-                return np.empty(0, dtype=np.int64)
             top = max(s + t * int(ells[-1]) for s, t in zip(start, step))
-            if min(start) < 0 or min(step) < 0 or max(top, *step) >= 1 << 40:
-                return np.array([self.letter_in_fixed_point(a, vec_add(start, vec_scale(step, ell)))
-                                 for ell in ells.tolist()], dtype=np.int64)
             m, table = self._chunk_table()
             radices = [s ** m for s in self.dims]
             cells = math.prod(radices)
@@ -313,8 +295,7 @@ def _parity64(v: np.ndarray) -> np.ndarray:
 
 
 def thue_morse_word() -> WordSource:
-    ev = lambda p: thue_morse(p[0])
-    return WordSource(1, 2, ev, line_builder=_integer_line_builder(ev, _parity64),
+    return WordSource(1, 2, lambda p: thue_morse(p[0]), line_builder=_uint64_line(_parity64),
                       name="thue-morse")
 
 
@@ -336,7 +317,7 @@ def gcd_word(u: WordSource, d: int) -> WordSource:
         gcds, inverse = np.unique(np.gcd.reduce(np.stack(coords)), return_inverse=True)
         return u.letters_along((0,), (1,), gcds)[inverse]
 
-    return WordSource(d, u.alphabet_size, ev, line_builder=_integer_line_builder(ev, letters_of),
+    return WordSource(d, u.alphabet_size, ev, line_builder=_uint64_line(letters_of),
                       name=f"gcd[{u.name}]")
 
 
@@ -397,14 +378,8 @@ SEEDED_RANDOM = "random"
 
 @dataclass(frozen=True)
 class ToeplitzSchedule:
-    """Parameters of the doubly periodic filling.
+    """Parameters of the doubly periodic filling."""
 
-    ``steps`` names a materialization depth: ``materialize(steps)`` fully
-    assigns the box [0, 2^(steps+1))^2.  Letters inside or outside it come
-    from the closed form of the filling order (see ToeplitzWord).
-    """
-
-    steps: int = 5
     policy: str = CONSTANT
     fill_letter: int = 0
     seed: int = 0
@@ -412,8 +387,6 @@ class ToeplitzSchedule:
     alphabet_size: int = 2
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
         if self.policy not in (CONSTANT, SEEDED_RANDOM):
             raise ValueError(f"unknown fill policy {self.policy!r}")
         if not 0 <= self.base_letter < self.alphabet_size:
@@ -458,8 +431,6 @@ class ToeplitzWord:
         else:
             clear = ~o >> 3  # bit j set: bit j + 3 of o is 0
             lowest = clear & -clear
-            if not lowest:  # a negative o, with no 0 bit above bit 2
-                raise ValueError(f"no filling step reaches {tuple(p)}")
             step, period = lowest.bit_length() + 1, lowest << 4
         return self._choice(step, x & (period - 1), y & (period - 1)).item()
 
@@ -482,7 +453,7 @@ class ToeplitzWord:
     def source(self) -> WordSource:
         tag = f"toeplitz[{self.schedule.policy},seed={self.schedule.seed}]"
         return WordSource(2, self.schedule.alphabet_size, self.letter,
-                          line_builder=_integer_line_builder(self.letter, self._letters),
+                          line_builder=_uint64_line(self._letters),
                           name=tag)
 
     def materialize(self, steps: int) -> dict[Vector, int]:

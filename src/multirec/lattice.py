@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDirection, DimensionError
+from .errors import DegenerateDirection, DimensionError, InvalidInput
 
 Vector = tuple[int, ...]
 
@@ -48,6 +48,15 @@ def normalize_direction(raw: Sequence[int]) -> Vector:
 def _check_dims(*lengths: int) -> None:
     if len(set(lengths)) != 1:
         raise DimensionError(f"mixed dimensions: {lengths}")
+
+
+def _check_domain(p: Vector) -> None:
+    if min(p) < 0:
+        raise InvalidInput(f"position {p} lies outside N^{len(p)}")
+
+
+# Lines whose reach bound is below this go to the line builder.
+_REACH = 1 << 62
 
 
 class FiniteWord:
@@ -148,16 +157,21 @@ class WordSource:
     line scans) goes through ``letters_along``, which returns an int64
     array.  ``letter`` and ``factor_at`` read pointwise through the
     evaluator; they are the exact references the batched reads are tested
-    against.
+    against.  A position with a negative coordinate, and a line with a
+    negative start, step or multiplier, lies outside N^d and raises
+    InvalidInput.
 
     ``line_builder``, when given, batch-evaluates letters along an
     arithmetic line: ``line_builder(start, step, ells)`` returns the int64
-    array of letters at start + ell*step for an increasing int64 array
-    ``ells`` of multipliers.  Rotation orbits, morphic digit walks (m
-    digits per table lookup), Thue-Morse parities, gcd placements and the
-    Toeplitz filling use it instead of one evaluator call per position.
-    Evaluators must be deterministic; internal memoization is allowed but
-    invisible.
+    array of letters at start + ell*step for a nonempty increasing int64
+    array ``ells``.  ``letters_along`` calls it only within reach, where
+    max(start) + max(step) * max(ell_last, 1) < 2^62, so every coordinate
+    and product it forms fits in int64; lines beyond are read pointwise
+    through the evaluator, exact at any size.  Rotation orbits, morphic
+    digit walks (m digits per table lookup), Thue-Morse parities, gcd
+    placements and the Toeplitz filling use it instead of one evaluator
+    call per position.  Evaluators must be deterministic; internal
+    memoization is allowed but invisible.
     """
 
     __slots__ = ("dimension", "alphabet_size", "_evaluator", "_line_builder", "name")
@@ -175,6 +189,7 @@ class WordSource:
     def letter(self, p: Sequence[int]) -> int:
         p = tuple(p)
         _check_dims(self.dimension, len(p))
+        _check_domain(p)
         return self._evaluator(p)
 
     def letters_along(self, start: Sequence[int], step: Sequence[int],
@@ -182,8 +197,9 @@ class WordSource:
         """Letters at start + ell*step for each multiplier ell, as int64.
 
         ``multipliers`` is a count n (ell = 0, ..., n-1) or an increasing
-        sequence of nonnegative ells; words without a line builder are read
-        pointwise at exactly those positions.
+        sequence of nonnegative ells.  This is the one place that picks the
+        line builder (within reach) or pointwise reads (beyond it, or
+        without a builder) for a line.
         """
         start = tuple(start)
         step = tuple(step)
@@ -192,7 +208,13 @@ class WordSource:
             ells = np.arange(multipliers, dtype=np.int64)
         else:
             ells = np.asarray(multipliers, dtype=np.int64)
-        if self._line_builder is not None:
+        if not len(ells):
+            return np.empty(0, dtype=np.int64)
+        first, last = ells.item(0), ells.item(-1)
+        if first < 0 or min(start) < 0 or min(step) < 0:
+            raise InvalidInput(f"the line {start} + ell*{step} for ell in "
+                               f"[{first}, {last}] leaves N^{self.dimension}")
+        if self._line_builder is not None and max(start) + max(step) * (last or 1) < _REACH:
             return self._line_builder(start, step, ells)
         ells = ells.tolist()
         axes = [[s + t * ell for ell in ells] for s, t in zip(start, step)]
@@ -207,6 +229,7 @@ def factor_at(w: WordSource, p: Sequence[int], s: Sequence[int]) -> FiniteWord:
     p = tuple(p)
     s = tuple(s)
     _check_dims(w.dimension, len(p), len(s))
+    _check_domain(p)
     ev = w._evaluator
     return FiniteWord(s, [ev(vec_add(p, i)) for i in iter_box(s)])
 
@@ -217,15 +240,11 @@ def directional_letter(w: WordSource, q: Sequence[int], s: Sequence[int], ell: i
 
 
 def translate_origin(w: WordSource, p: Sequence[int]) -> WordSource:
-    """The word i -> w(i + p)."""
+    """The word i -> w(i + p); w checks the shifted positions."""
     p = tuple(p)
     _check_dims(w.dimension, len(p))
-    ev = w._evaluator
-    lb = None
-    if w._line_builder is not None:
-        base_lb = w._line_builder
-        lb = lambda start, step, ells: base_lb(vec_add(start, p), step, ells)
     return WordSource(w.dimension, w.alphabet_size,
-                      lambda i: ev(vec_add(i, p)),
-                      line_builder=lb,
+                      lambda i: w.letter(vec_add(i, p)),
+                      line_builder=lambda start, step, ells: w.letters_along(
+                          vec_add(start, p), step, ells),
                       name=f"{w.name}@{p}")

@@ -10,7 +10,6 @@ CSV (it stays -1 in JSON, and is rejected by the image formats).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .lattice import FiniteWord, WordSource
@@ -24,18 +23,6 @@ PGM = "pgm"
 FORMATS = (TEXT, JSON, CSV, PBM, PGM)
 
 UNDEFINED = -1
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Output format plus the optional letter-to-gray override for PGM."""
-
-    format: str = TEXT
-    gray_map: dict | None = None
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise InvalidInput(f"unknown format {self.format!r}")
 
 
 Rows = "list[list[int]]"
@@ -87,12 +74,11 @@ def to_pbm(rows: Rows, alphabet_size: int) -> str:
     return f"P1\n{width} {height}\n{body}\n"
 
 
-def to_pgm(rows: Rows, alphabet_size: int, gray_map: dict | None = None) -> str:
-    """P2 graymap; letters spread linearly over 0..255 unless overridden."""
+def to_pgm(rows: Rows, alphabet_size: int) -> str:
+    """P2 graymap; letters spread linearly over 0..255."""
     _check_defined(rows, "pgm")
-    if gray_map is None:
-        hi = max(alphabet_size - 1, 1)
-        gray_map = {a: round(255 * a / hi) for a in range(alphabet_size)}
+    hi = max(alphabet_size - 1, 1)
+    gray_map = {a: round(255 * a / hi) for a in range(alphabet_size)}
     height, width = len(rows), len(rows[0])
     body = "\n".join(
         " ".join(str(gray_map[c]) for c in row) for row in reversed(rows)
@@ -100,16 +86,19 @@ def to_pgm(rows: Rows, alphabet_size: int, gray_map: dict | None = None) -> str:
     return f"P2\n{width} {height}\n255\n{body}\n"
 
 
-def render_rows(rows: Rows, alphabet_size: int, spec: RenderSpec) -> str:
-    if spec.format == TEXT:
+def render_rows(rows: Rows, alphabet_size: int, fmt: str) -> str:
+    """The rows in one of FORMATS."""
+    if fmt == TEXT:
         return to_text(rows)
-    if spec.format == CSV:
+    if fmt == CSV:
         return to_csv(rows)
-    if spec.format == JSON:
+    if fmt == JSON:
         return to_json(rows)
-    if spec.format == PBM:
+    if fmt == PBM:
         return to_pbm(rows, alphabet_size)
-    return to_pgm(rows, alphabet_size, spec.gray_map)
+    if fmt == PGM:
+        return to_pgm(rows, alphabet_size)
+    raise InvalidInput(f"unknown format {fmt!r}")
 
 
 # Fixture grids live as text files with an explicit header so a golden can

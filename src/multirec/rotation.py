@@ -6,7 +6,7 @@ zero; a wrapping component splits in two.
 
 Lines are read on a fixed-point circle: x is stored as floor(x * 2^64) in
 a uint64, whose wraparound is reduction mod 1.  A point of the line
-start + ell*step is then off by less than 1 + sum|p_i| + ell*sum|q_i| units
+start + ell*step is then off by less than 1 + sum p_i + ell*sum q_i units
 of 2^-64, and a cut by less than one.  While that bound is below
 _GUARD = 2^-30, a point at modular distance >= _GUARD from 0 and from every
 cut is labelled exactly; points inside that band, and multipliers where the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -248,10 +249,9 @@ class RotationWordSpec:
         labels = np.array(part.labels, dtype=np.int64)
 
         def line(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
-            x0 = rho + sum(p * a for p, a in zip(start, angles))
-            delta = sum(q * a for q, a in zip(step, angles))
-            x, exact = _fixed_line(x0, delta, ells, cuts,
-                                   sum(map(abs, start)), sum(map(abs, step)))
+            x0 = sum(map(mul, start, angles), rho)
+            delta = sum(map(mul, step, angles))
+            x, exact = _fixed_line(x0, delta, ells, cuts, sum(start), sum(step))
             # strictness at the cut is immaterial outside the guard band
             out = labels[np.searchsorted(cuts, x, side="right")]
             for i in np.flatnonzero(exact).tolist():

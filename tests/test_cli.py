@@ -294,14 +294,36 @@ def test_extract_far_origin_of_the_integer_line_builders(capsys, word, origin, d
 
 
 def test_extract_toeplitz_cell_that_no_step_fills(capsys):
-    """Every bit of x | y is set at (-1, 0), so no filling step reaches it."""
+    """Every bit of x | y is set at (-1, 0), so no filling step reaches it;
+    the line leaves N^2 there and is refused before any cell is read."""
     code, out, err = run(
         capsys, "extract", "--word", "toeplitz-random", "--origin=-3,0",
         "--dir", "1,0", "--size", "1x1", "--len", "3",
     )
     assert code == 1
     assert out == ""
-    assert "no filling step reaches (-1, 0)" in err
+    assert err == "multirec: error: the line (-3, 0) + ell*(1, 0) for ell in [0, 2] leaves N^2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "sierpinski", "--origin=-3,0", "--dir", "1,0", "--size", "1x1", "--len", "2"],
+    ["--preset", "sierpinski", "--dir=-1,1", "--size", "1x1", "--len", "2"],
+    ["--word", "fib-rows", "--origin=-3,0", "--dir", "1,0", "--size", "1x1", "--len", "2"],
+    ["--word", "toeplitz-random", "--origin=-4,0", "--dir", "1,0", "--size", "1x1", "--len", "2"],
+    ["--word", "thue-morse", "--dir=-1", "--size", "1", "--len", "3"],
+])
+def test_extract_outside_the_domain_exits_1(capsys, monkeypatch, argv):
+    """A line that leaves N^d is refused with one message line; the
+    pointwise morphic walk, which never shrinks a negative coordinate, must
+    not start."""
+    def never(*args):
+        raise AssertionError("a pointwise morphic walk started")
+
+    monkeypatch.setattr(Morphism, "letter_in_fixed_point", never)
+    code, out, err = run(capsys, "extract", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("multirec: error: the line ") and err.count("\n") == 1
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multirec.errors import NotProlongable
+from multirec.errors import InvalidInput, NotProlongable
 from multirec.generators import (
     CONSTANT,
     PRESET_NAMES,
@@ -172,10 +172,10 @@ def prolongable_morphisms(draw):
 @given(prolongable_morphisms(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_digit_walk_matches_pointwise_letters_across_the_fallback(m, data):
-    """Lines whose top coordinate straddles 1 << 40, where the numpy digit
-    walk hands over to the pointwise one."""
+    """Lines whose reach straddles 2^62, where letters_along hands over
+    from the numpy digit walk to the pointwise one."""
     d = m.dimension
-    start = tuple(data.draw(st.integers((1 << 40) - 64, (1 << 40) + 8) | st.integers(0, 99))
+    start = tuple(data.draw(st.integers((1 << 62) - 64, (1 << 62) + 8) | st.integers(0, 99))
                   for _ in range(d))
     step = tuple(data.draw(st.integers(0, 3)) for _ in range(d))
     ells = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
@@ -211,11 +211,11 @@ def _near(edge: int):
 @given(prolongable_box_morphisms(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_chunked_walk_matches_pointwise_letters_across_chunk_edges(m, data):
-    """One axis starts just below s_j^m, s_j^(2m) or 1 << 40 and steps
+    """One axis starts just below s_j^m, s_j^(2m) or 2^62 and steps
     across it; every other axis starts small or near an edge of its own."""
     d = m.dimension
     depth = _chunk_depth(m.dims)
-    edges = [[s ** depth, s ** (2 * depth), 1 << 40] for s in m.dims]
+    edges = [[s ** depth, s ** (2 * depth), 1 << 62] for s in m.dims]
     axis = data.draw(st.integers(0, d - 1))
     start = [data.draw(st.integers(0, 99) | st.sampled_from(e).flatmap(_near)) for e in edges]
     start[axis] = data.draw(st.sampled_from(edges[axis]).flatmap(_near))
@@ -348,7 +348,7 @@ def test_constant_fill_toeplitz_is_morphic():
 
 def test_toeplitz_materialization_is_conflict_free():
     for policy, seed in ((CONSTANT, 0), (SEEDED_RANDOM, 7), (SEEDED_RANDOM, 8)):
-        tw = ToeplitzWord(ToeplitzSchedule(steps=4, policy=policy, seed=seed))
+        tw = ToeplitzWord(ToeplitzSchedule(policy=policy, seed=seed))
         grid = tw.materialize(4)
         assert len(grid) == 32 * 32
         for cell, letter in grid.items():
@@ -510,7 +510,7 @@ def test_gcd_lines_match_math_gcd(start, step):
     assert w.letters_along(start, step, 80).tolist() == expected
 
 
-def test_gcd_lines_through_negative_coordinates_are_read_pointwise():
+def test_gcd_lines_through_negative_coordinates_are_refused():
     w = gcd_word(thue_morse_word(), 2)
-    line = w.letters_along((3, 2), (-1, 1), 8)
-    assert line.tolist() == [math.gcd(3 - ell, 2 + ell).bit_count() & 1 for ell in range(8)]
+    with pytest.raises(InvalidInput):
+        w.letters_along((3, 2), (-1, 1), 8)

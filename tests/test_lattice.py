@@ -3,9 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
+import numpy as np
 from hypothesis import given, strategies as st
 
-from multirec.errors import DegenerateDirection, DimensionError
+from multirec.errors import DegenerateDirection, DimensionError, InvalidInput
 from multirec.lattice import (
     FiniteWord,
     WordSource,
@@ -114,3 +115,99 @@ def test_letters_along_matches_pointwise_evaluation():
     w = checkerboard()
     line = w.letters_along((1, 0), (2, 1), 6).tolist()
     assert line == [w.letter((1 + 2 * i, i)) for i in range(6)]
+
+
+_REACH = 1 << 62
+
+
+def recording_checkerboard():
+    """The checkerboard with a line builder and an evaluator that log their
+    calls: (start, step, ells) lines and pointwise positions."""
+    lines, points = [], []
+
+    def builder(start, step, ells):
+        lines.append((start, step, ells.tolist()))
+        return (sum(start) + sum(step) * ells) % 2
+
+    def evaluator(p):
+        points.append(p)
+        return sum(p) % 2
+
+    return WordSource(2, 2, evaluator, line_builder=builder, name="recorded"), lines, points
+
+
+@pytest.mark.parametrize("start, step, ells", [
+    ((0, 0), (1, 1), [0, 1, 2]),
+    ((_REACH - 4, 0), (1, 0), [0, 3]),
+    ((5, 0), (_REACH - 6, 1), [0, 1]),
+    ((3, 0), (_REACH - 4, 0), [0]),
+])
+def test_lines_below_the_reach_go_to_the_builder(start, step, ells):
+    w, lines, points = recording_checkerboard()
+    line = w.letters_along(start, step, ells)
+    assert line.dtype == np.int64
+    assert line.tolist() == [(sum(start) + sum(step) * ell) % 2 for ell in ells]
+    assert lines == [(start, step, ells)] and points == []
+
+
+@pytest.mark.parametrize("start, step, ells", [
+    ((_REACH - 3, 0), (1, 0), [0, 3]),
+    ((0, _REACH), (0, 0), [0, 1]),
+    ((1, 0), (0, _REACH), [0]),
+    ((5, 0), (_REACH // 2, 1), [1, 2]),
+    ((10**30, 7), (3, 0), [0, 1, 5]),
+])
+def test_lines_reaching_2_62_are_read_pointwise(start, step, ells):
+    w, lines, points = recording_checkerboard()
+    line = w.letters_along(start, step, ells)
+    expected = [vec_add(start, vec_scale(step, ell)) for ell in ells]
+    assert line.dtype == np.int64
+    assert line.tolist() == [sum(p) % 2 for p in expected]
+    assert lines == [] and points == expected
+
+
+@pytest.mark.parametrize("multipliers", [0, [], np.array([], dtype=np.int64)])
+def test_empty_reads_call_neither_builder_nor_evaluator(multipliers):
+    w, lines, points = recording_checkerboard()
+    for start, step in (((0, 0), (1, 0)), ((-1, 0), (1, 0)), ((0, 0), (0, -1))):
+        line = w.letters_along(start, step, multipliers)
+        assert line.dtype == np.int64 and line.shape == (0,)
+    assert lines == [] and points == []
+
+
+@pytest.mark.parametrize("start, step, ells", [
+    ((-1, 0), (1, 0), 3),
+    ((0, 4), (1, -1), 2),
+    ((0, 0), (1, 1), [-1, 0, 1]),
+    ((-1, 10**30), (0, 1), 1),
+])
+def test_lines_leaving_n_d_raise(start, step, ells):
+    w, lines, points = recording_checkerboard()
+    with pytest.raises(InvalidInput, match="leaves N\\^2"):
+        w.letters_along(start, step, ells)
+    assert lines == [] and points == []
+
+
+def test_negative_positions_raise():
+    w, _, points = recording_checkerboard()
+    for p in ((-1, 0), (0, -5)):
+        with pytest.raises(InvalidInput, match="outside N\\^2"):
+            w.letter(p)
+        with pytest.raises(InvalidInput):
+            factor_at(w, p, (2, 2))
+    assert points == []
+
+
+def test_translate_origin_checks_the_shifted_positions():
+    w, lines, points = recording_checkerboard()
+    left = translate_origin(w, (-3, 0))
+    assert left.letters_along((3, 0), (1, 0), 2).tolist() == [0, 1]
+    assert left.letter((4, 1)) == 0
+    assert lines == [((0, 0), (1, 0), [0, 1])] and points == [(1, 1)]
+    with pytest.raises(InvalidInput):
+        left.letters_along((0, 0), (1, 0), 4)
+    with pytest.raises(InvalidInput):
+        left.letter((2, 0))
+    far = translate_origin(w, (_REACH, 0))
+    assert far.letters_along((0, 0), (1, 0), 2).tolist() == [0, 1]
+    assert lines[1:] == [] and points[1:] == [(_REACH, 0), (_REACH + 1, 0)]

@@ -8,7 +8,6 @@ from multirec.errors import InvalidInput
 from multirec.generators import preset_word
 from multirec.lattice import FiniteWord
 from multirec.render import (
-    RenderSpec,
     read_grid_fixture,
     render_rows,
     sample_rows,
@@ -82,11 +81,6 @@ def test_pgm_spreads_letters_linearly():
     assert lines[4] == "0 128 255"
 
 
-def test_pgm_gray_map_override():
-    out = to_pgm([[0, 1]], 2, gray_map={0: 7, 1: 9})
-    assert out.splitlines()[-1] == "7 9"
-
-
 def test_image_formats_reject_undefined_cells():
     with pytest.raises(InvalidInput):
         to_pbm([[0, -1]], 2)
@@ -95,11 +89,12 @@ def test_image_formats_reject_undefined_cells():
 
 
 def test_render_spec_dispatch():
-    assert render_rows(ROWS, 3, RenderSpec("text")) == to_text(ROWS)
-    assert render_rows(ROWS, 3, RenderSpec("csv")) == to_csv(ROWS)
-    assert render_rows(ROWS, 3, RenderSpec("json")) == to_json(ROWS)
+    assert render_rows(ROWS, 3, "text") == to_text(ROWS)
+    assert render_rows(ROWS, 3, "csv") == to_csv(ROWS)
+    assert render_rows(ROWS, 3, "json") == to_json(ROWS)
+    assert render_rows(ROWS, 3, "pgm") == to_pgm(ROWS, 3)
     with pytest.raises(InvalidInput):
-        RenderSpec("svg")
+        render_rows(ROWS, 3, "svg")
 
 
 def test_fixture_round_trip(tmp_path):
