@@ -69,11 +69,11 @@ class CodeTable:
 def directional_blocks(
     w: WordSource, direction: Sequence[int], size: Sequence[int], count: int
 ) -> list[FiniteWord]:
-    """The blocks of the given size at ell*q for ell < count.  Each block
-    cell is read once along q."""
+    """The blocks of the given size at ell*q for ell < count, from one
+    family read of the cell lines along q."""
     s = tuple(size)
-    columns = [w.letters_along(o, direction, count) for o in iter_box(s)]
-    return [FiniteWord(s, cells) for cells in np.stack(columns, axis=1).tolist()]
+    columns = w.letters_on_lines(list(iter_box(s)), [direction], count)[:, 0]
+    return [FiniteWord(s, cells) for cells in columns.T.tolist()]
 
 
 def block_codes(
@@ -82,12 +82,12 @@ def block_codes(
     """The codes of ``directional_blocks`` without building the blocks: one
     Horner step per cell column, in int64 while k^cells <= 2^62 and in
     Python ints (an object array) beyond."""
-    cells = list(iter_box(tuple(size)))
+    columns = w.letters_on_lines(list(iter_box(tuple(size))), [direction], count)[:, 0]
     k = w.alphabet_size
-    dtype = np.int64 if k ** len(cells) <= 1 << 62 else object
+    dtype = np.int64 if k ** len(columns) <= 1 << 62 else object
     codes = np.zeros(count, dtype=dtype)
-    for o in reversed(cells):
-        codes = codes * k + w.letters_along(o, direction, count).astype(dtype)
+    for column in columns[::-1]:
+        codes = codes * k + column.astype(dtype)
     return codes
 
 

@@ -3,9 +3,11 @@ words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
 fixed points have two digit walks, one per letter and one per line (see
 Morphism); the line walk reads m digits per table lookup into the images of
 phi^m.  ``Morphism.iterate`` substitutes and walks no digits, so it is a
-reference for both.  Line builders are plain numpy kernels:
-``WordSource.letters_along`` hands them only nonempty lines inside N^d
-below its 2^62 reach, and reads every other line pointwise."""
+reference for both.  Line builders are plain numpy kernels over a family
+of lines (starts x steps x multipliers, broadcast to one (S, D, n) array):
+``WordSource.letters_on_lines`` hands them only nonempty families inside
+N^d below its 2^62 reach, in calls of at most 2^13 letters, and reads
+every other family pointwise."""
 
 from __future__ import annotations
 
@@ -21,10 +23,15 @@ from .errors import ConstructionBug, NotProlongable
 from .lattice import FiniteWord, Vector, WordSource
 
 
+def _coordinates(starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the (S, D, n) int64 array of starts[i] + ells[k] * steps[j]."""
+    return [s[:, None, None] + t[:, None] * ells for s, t in zip(starts.T, steps.T)]
+
+
 def _uint64_line(letters_of):
-    """The line builder that hands letters_of the line's uint64 coordinate arrays."""
-    return lambda start, step, ells: letters_of(*[(s + t * ells).astype(np.uint64)
-                                                  for s, t in zip(start, step)])
+    """The line builder that hands letters_of the family's uint64 coordinate arrays."""
+    return lambda starts, steps, ells: letters_of(
+        *[c.astype(np.uint64) for c in _coordinates(starts, steps, ells)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +196,8 @@ class Morphism:
                           name=name or f"fixedpoint({a})")
 
     def _line_evaluator(self, a: int):
-        """Batch digit walk at start + ell*step for an increasing ells array,
-        returning int64 letters.
+        """Batch digit walk over a family of lines (the ``WordSource`` line
+        builder contract), returning int64 letters.
 
         Leading zero digits map a to a (prolongability), so every position
         can be padded to the depth of the largest coordinate and the walk
@@ -198,15 +205,16 @@ class Morphism:
         most significant chunk first.
         """
 
-        def lb(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
-            top = max(s + t * int(ells[-1]) for s, t in zip(start, step))
+        def lb(starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> np.ndarray:
+            top = max(s + t * ells.max().item()
+                      for s, t in zip(starts.max(axis=0).tolist(), steps.max(axis=0).tolist()))
             m, table = self._chunk_table()
             radices = [s ** m for s in self.dims]
             cells = math.prod(radices)
             # Chunk offsets into phi^m(b), least significant chunk first.
             # Floor division by a scalar is much faster than numpy's % or
             # divmod, so each digit is c - (c // r) * r.
-            coords = [s + t * ells for s, t in zip(start, step)]
+            coords = _coordinates(starts, steps, ells)
             offsets = []
             for _ in range(max(_ndigits(top, r) for r in radices)):
                 stride = 1
@@ -217,7 +225,7 @@ class Morphism:
                     off = digit if axis == 0 else off + digit * stride
                     stride *= r
                 offsets.append(off)
-            letters = np.full(len(ells), a, dtype=np.int64)
+            letters = np.full(coords[0].shape, a, dtype=np.int64)
             for off in reversed(offsets):
                 # The int64 product keeps a uint8 letter times a large cell
                 # count from wrapping under any numpy promotion rules.
@@ -313,9 +321,9 @@ def gcd_word(u: WordSource, d: int) -> WordSource:
     ev = lambda p: u.letter((math.gcd(*p),))
 
     def letters_of(*coords: np.ndarray) -> np.ndarray:
-        # One read of u at the distinct gcds, in increasing order.
+        # One read of u at the distinct gcds; numpy 1.x flattens the inverse.
         gcds, inverse = np.unique(np.gcd.reduce(np.stack(coords)), return_inverse=True)
-        return u.letters_along((0,), (1,), gcds)[inverse]
+        return u.letters_along((0,), (1,), gcds)[inverse].reshape(coords[0].shape)
 
     return WordSource(d, u.alphabet_size, ev, line_builder=_uint64_line(letters_of),
                       name=f"gcd[{u.name}]")

@@ -11,12 +11,13 @@ against a caller-supplied bound and is always a hard failure.
 from __future__ import annotations
 
 import itertools
+from operator import add
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Vector, WordSource, vec_add, iter_box
+from .lattice import Vector, WordSource, _call_slices, iter_box
 from .residues import iter_coprime_directions
 
 BOUNDED_WITNESSED = "BOUNDED_WITNESSED"
@@ -106,9 +107,9 @@ def occurrence_indices(
 ) -> list[int]:
     """All ell <= horizon where the block at origin reappears at origin + ell*q.
 
-    ell = 0 is always reported.  Each cell of the block is read once along
-    its line, only at the multipliers that survived the cells before it;
-    its letter at ell = 0, which always survives, is the target.
+    ell = 0 is always reported.  This is the one-block case of the sweep:
+    each cell of the block is read along q up to the horizon once, and the
+    block occurs where every cell matches its letter at ell = 0.
     """
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
     return _occurrences(w, tuple(direction), tuple(size), p0, horizon).tolist()
@@ -116,13 +117,86 @@ def occurrence_indices(
 
 def _occurrences(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: int) -> np.ndarray:
     """``occurrence_indices`` as an int64 array."""
-    alive = np.arange(horizon + 1, dtype=np.int64)
-    for o in iter_box(size):
-        if len(alive) == 1:
-            break
-        line = w.letters_along(vec_add(p0, o), q, alive)
-        alive = alive[line == line[0]]
-    return alive
+    return _unpacked(_scan(w, p0, [q], [size], 0, horizon)[0][0, 0], horizon)
+
+
+# Most cells of a match table held at once (one byte each); a larger table
+# is built and ANDed one slice at a time, cut along the multipliers, then
+# along the directions.  2^24 keeps every default sweep in one slice (the
+# 2-D ssurdo table is 36 starts x 21 directions x 5001 multipliers).
+_TABLE_CELLS = 1 << 24
+
+
+def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector],
+          origin_bound: int, horizon: int) -> list[np.ndarray]:
+    """found[i][a, j]: the multipliers ell <= horizon at which the block of
+    size sizes[i] at corner + origins[a] reappears along dirs[j], as a row
+    of bits in ``np.packbits`` order; the origins are [0, origin_bound]^d in
+    product order.
+
+    Every line from a start in corner + [0, origin_bound + max size)^d is
+    read once, into a bool match table of "letter == letter at ell = 0",
+    and a block occurs where the table's views at its cells all hold.  The
+    table is built in slices of at most _TABLE_CELLS cells, each taking
+    every multiplier or a multiple of 8 of them (a byte of the bit rows),
+    and every size ANDs each slice before the next is read.  So memory
+    stays within a slice plus one bit per (size, report, multiplier).
+    """
+    n = max(horizon + 1, 0)
+    extent = tuple(origin_bound + max(c) for c in zip(*sizes))
+    starts = list(itertools.product(*map(range, corner, map(add, corner, extent))))
+    span = (origin_bound + 1,) * len(corner)
+    origins = span[0] ** len(span)
+    per_start = _TABLE_CELLS // max(1, len(starts))
+    per_line = per_start // len(dirs)
+    nc = max(n, 1) if per_line >= n else max(8, per_line // 8 * 8)
+    dc = max(1, min(len(dirs), per_start // nc))
+    ref = np.empty((len(starts), 1, 1), dtype=np.int64)
+    found = [np.zeros((origins, len(dirs), -(-n // 8)), dtype=np.uint8) for _ in sizes]
+    for k in range(0, max(n, 1), nc):
+        ells = range(k, min(k + nc, n))
+        for j in range(0, len(dirs), dc):
+            table = _match_table(w, starts, ref, dirs[j:j + dc], ells)
+            rows = table.shape[1:]
+            table = table.reshape(extent + rows)
+            for bits, s in zip(found, sizes):
+                mask = _and_cells(table, s, span).reshape((origins,) + rows)
+                packed = np.packbits(mask, axis=-1)
+                bits[:, j:j + rows[0], k // 8:k // 8 + packed.shape[-1]] = packed
+    return found
+
+
+def _unpacked(bits: np.ndarray, horizon: int) -> np.ndarray:
+    """The multipliers ell <= horizon set in a row of bits, as int64."""
+    return np.unpackbits(bits, count=max(horizon + 1, 0)).nonzero()[0]
+
+
+def _match_table(w: WordSource, starts: list[Vector], ref: np.ndarray, dirs: list[Vector],
+                 ells: range) -> np.ndarray:
+    """Bool table t[i, j, k]: the letter at starts[i] + ells[k]*dirs[j]
+    equals ref[i, 0, 0], the letter at starts[i].  It is read in
+    letters_on_lines calls of at most _CALL_LETTERS letters, each compared
+    in place.  ref is filled from the calls that begin at ell = 0: a scan's
+    first slice begins there, and each start's first call in it does too."""
+    table = np.empty((len(starts), len(dirs), len(ells)), dtype=bool)
+    for i, j, k in _call_slices(table.shape):
+        letters = w.letters_on_lines(starts[i], dirs[j], ells[k])
+        if ells[k][0] == 0:
+            ref[i] = letters[:, :1, :1]
+        np.equal(letters, ref[i], out=table[i, j, k])
+    return table
+
+
+def _and_cells(table: np.ndarray, size: Vector, origins: Vector) -> np.ndarray:
+    """The AND of the table's views at every cell offset of the block."""
+    views = [table[tuple(map(slice, cell, map(add, cell, origins)))]
+             for cell in itertools.product(*map(range, size))]
+    if len(views) < 2:
+        return views[0] if views else np.ones(origins + table.shape[len(origins):], dtype=bool)
+    mask = views[0] & views[1]
+    for view in views[2:]:
+        mask &= view
+    return mask
 
 
 def _claim_value(claim: Claim, size: Vector) -> int | None:
@@ -144,7 +218,12 @@ def gap_report(
     q = tuple(direction)
     s = tuple(size)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
-    occ = _occurrences(w, q, s, p0, horizon)
+    return _report(q, s, p0, _occurrences(w, q, s, p0, horizon), horizon, claim)
+
+
+def _report(q: Vector, s: Vector, p0: Vector, occ: np.ndarray, horizon: int,
+            claim: Claim) -> GapReport:
+    """The gap report of the occurrence multipliers occ."""
     bound = _claim_value(claim, s)
     if len(occ) < 2:
         verdict = NO_RECURRENCE_IN_HORIZON
@@ -154,7 +233,7 @@ def gap_report(
             verdict = GAP_EXCEEDS_CLAIM
         return GapReport(q, s, p0, tuple(occ.tolist()), None, verdict)
     # consecutive gaps, then the tail up to the horizon
-    max_gap = int(np.diff(occ, append=horizon).max())
+    max_gap = max((occ[1:] - occ[:-1]).max().item(), horizon - occ[-1].item())
     verdict = BOUNDED_WITNESSED
     if bound is not None and max_gap > bound:
         verdict = GAP_EXCEEDS_CLAIM
@@ -169,7 +248,8 @@ def _sweep(
     origin_bound: int,
 ) -> Iterator[tuple[Vector, list[GapReport]]]:
     """Per block size, the reports of every origin in [0, origin_bound]^d
-    (outer) along every enumerated direction (inner)."""
+    (outer) along every enumerated direction (inner).  All sizes share one
+    ``_scan``, so every line is read once."""
     budget = budget or RecurrenceBudget()
     d = w.dimension
     size_list = (
@@ -177,13 +257,15 @@ def _sweep(
         if sizes is None
         else [tuple(s) for s in sizes]
     )
+    if not size_list:
+        return
     dirs = enumerate_directions(d, budget.direction_bound)
-    origins = list(itertools.product(range(origin_bound + 1), repeat=d))
-    for s in size_list:
+    reports = list(itertools.product(itertools.product(range(origin_bound + 1), repeat=d), dirs))
+    found = _scan(w, (0,) * d, dirs, size_list, origin_bound, budget.horizon)
+    for s, bits in zip(size_list, found):
         yield s, [
-            gap_report(w, q, s, p, budget.horizon, claim)
-            for p in origins
-            for q in dirs
+            _report(q, s, p, _unpacked(row, budget.horizon), budget.horizon, claim)
+            for (p, q), row in zip(reports, bits.reshape(-1, bits.shape[-1]))
         ]
 
 
@@ -237,13 +319,11 @@ def check_ssurdo_empirical(
 
 def sample_grid(w: WordSource, shape: Sequence[int]) -> np.ndarray:
     """Letters of w on the box [0, shape), indexed grid[x1, ..., xd]; one
-    line read along the first axis per row."""
+    family read of the rows along the first axis."""
     shape = tuple(shape)
-    grid = np.empty(shape, dtype=np.int64)
     step = (1,) + (0,) * (len(shape) - 1)
-    for rest in iter_box(shape[1:]):
-        grid[(slice(None), *rest)] = w.letters_along((0, *rest), step, shape[0])
-    return grid
+    rows = w.letters_on_lines([(0, *rest) for rest in iter_box(shape[1:])], [step], shape[0])
+    return np.ascontiguousarray(rows.reshape(shape[::-1]).T)
 
 
 def _prefix_occurrences(grid: np.ndarray, size: Vector) -> np.ndarray:

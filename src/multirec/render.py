@@ -29,8 +29,9 @@ Rows = "list[list[int]]"
 
 
 def sample_rows(w: WordSource | FiniteWord, box) -> list[list[int]]:
-    """Letters of a word or block on [0,box) as bottom-first rows, one line
-    read per row; only d <= 2.  A 1-D box, word or block gives one row."""
+    """Letters of a word or block on [0,box) as bottom-first rows, one
+    family read of the rows; only d <= 2.  A 1-D box, word or block gives
+    one row."""
     box = tuple(box)
     if len(box) not in (1, 2):
         raise InvalidInput(f"grid rendering needs 1 or 2 dimensions, got {len(box)}")
@@ -40,7 +41,7 @@ def sample_rows(w: WordSource | FiniteWord, box) -> list[list[int]]:
         starts = [(0, y) for y in range(box[1] if len(box) == 2 else 1)]
     if isinstance(w, FiniteWord):
         return [[w[(x, *p[1:])] for x in range(box[0])] for p in starts]
-    return [w.letters_along(p, (1, 0)[:len(p)], box[0]).tolist() for p in starts]
+    return w.letters_on_lines(starts, [(1, 0)[:len(starts[0])]], box[0])[:, 0].tolist()
 
 
 def _cell_token(c: int) -> str:

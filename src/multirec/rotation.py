@@ -35,6 +35,7 @@ _ONE = QuadExt.rational(1)
 _UNIT = 1 << 64
 _GUARD = 2.0 ** -30
 _BAND = int(_GUARD * _UNIT)
+_NEVER = (1 << 63) - 1
 
 
 def _as_qext(value) -> QuadExt:
@@ -248,14 +249,18 @@ class RotationWordSpec:
         cuts = np.array([_fixed(c) for c in part.cuts], dtype=np.uint64)
         labels = np.array(part.labels, dtype=np.int64)
 
-        def line(start: Vector, step: Vector, ells: np.ndarray) -> np.ndarray:
-            x0 = sum(map(mul, start, angles), rho)
-            delta = sum(map(mul, step, angles))
-            x, exact = _fixed_line(x0, delta, ells, cuts, sum(start), sum(step))
+        def line(starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> np.ndarray:
+            starts, steps = starts.tolist(), steps.tolist()
+            x0 = [sum(map(mul, p, angles), rho) for p in starts]
+            delta = [sum(map(mul, q, angles)) for q in steps]
+            x, exact = _fixed_line(x0, delta, ells, cuts, list(map(sum, starts)),
+                                   list(map(sum, steps)))
             # strictness at the cut is immaterial outside the guard band
-            out = labels[np.searchsorted(cuts, x, side="right")]
-            for i in np.flatnonzero(exact).tolist():
-                out[i] = self.letter(vec_add(start, vec_scale(step, int(ells[i]))))
+            out = labels[cuts.searchsorted(x, side="right")]
+            if exact.any():
+                for i, j, k in zip(*np.nonzero(exact)):
+                    p = vec_add(starts[i], vec_scale(steps[j], int(ells[k])))
+                    out[i, j, k] = self.letter(p)
             return out
 
         alphabet = max(part.labels) + 1
@@ -268,21 +273,25 @@ def _fixed(x: QuadExt) -> int:
     return (x * _UNIT).floor()
 
 
-def _fixed_line(x0: int, delta: int, ells: np.ndarray, edges: np.ndarray,
-                spread_p: int, spread_q: int) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 points (x0 + ell*delta) mod 2^64 at increasing int64 ells, and
-    the mask of those to decide exactly: within _BAND of 0 or of an edge
-    (mod 2^64), or where the error bound 1 + spread_p + ell*spread_q
-    reaches _BAND."""
-    x = ells.astype(np.uint64) * np.uint64(delta % _UNIT) + np.uint64(x0 % _UNIT)
+def _fixed_line(x0: Sequence[int], delta: Sequence[int], ells: np.ndarray, edges: np.ndarray,
+                spread_p: Sequence[int], spread_q: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 points (x0[i] + ell*delta[j]) mod 2^64 of shape (S, D, n) at
+    int64 ells, and the mask of those to decide exactly: within _BAND of 0
+    or of an edge (mod 2^64), or where the error bound
+    1 + spread_p[i] + ell*spread_q[j] reaches _BAND."""
+    step = np.array([t % _UNIT for t in delta], dtype=np.uint64)
+    x = np.multiply.outer(step, ells.astype(np.uint64))
+    x = x + np.array([s % _UNIT for s in x0], dtype=np.uint64)[:, None, None]
     band = np.uint64(2 * _BAND)
     exact = x + np.uint64(_BAND) < band
     for e in edges.tolist():
         exact |= x - np.uint64((e - _BAND) % _UNIT) < band
-    # the bound stays below _BAND while ell * spread_q < slack
-    slack = max(_BAND - 1 - spread_p, 0)
-    if spread_q or not slack:
-        exact[np.searchsorted(ells, -(-slack // max(spread_q, 1))):] = True
+    # first[i][j]: the least ell whose bound reaches _BAND, that is with
+    # ell * spread_q[j] >= slack
+    first = [[-(-slack // q) if q else _NEVER if slack else 0 for q in spread_q]
+             for slack in (max(_BAND - 1 - p, 0) for p in spread_p)]
+    if min(map(min, first)) <= ells.max():
+        exact |= ells >= np.array(first)[:, :, None]
     return x, exact
 
 
@@ -333,7 +342,7 @@ def three_gap_analysis(delta: QuadExt, interval: IntervalSet, horizon: int) -> s
     ends = np.array([e for c in interval.components for e in map(_fixed, c)
                      if e < _UNIT], dtype=np.uint64)
     ells = np.arange(horizon + 1, dtype=np.int64)
-    x, exact = _fixed_line(0, _fixed(delta), ells, ends, 0, 1)
+    x, exact = (a[0, 0] for a in _fixed_line([0], [_fixed(delta)], ells, ends, [0], [1]))
     # components are disjoint and sorted, so a point is inside exactly
     # when an odd number of ends lie at or below it
     inside = np.searchsorted(ends, x, side="right") % 2 == 1

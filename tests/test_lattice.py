@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 import numpy as np
 from hypothesis import given, strategies as st
 
+from multirec import lattice
 from multirec.errors import DegenerateDirection, DimensionError, InvalidInput
+from multirec.generators import thue_morse_word
 from multirec.lattice import (
     FiniteWord,
     WordSource,
@@ -122,12 +125,12 @@ _REACH = 1 << 62
 
 def recording_checkerboard():
     """The checkerboard with a line builder and an evaluator that log their
-    calls: (start, step, ells) lines and pointwise positions."""
+    calls: (starts, steps, ells) families as lists, and pointwise positions."""
     lines, points = [], []
 
-    def builder(start, step, ells):
-        lines.append((start, step, ells.tolist()))
-        return (sum(start) + sum(step) * ells) % 2
+    def builder(starts, steps, ells):
+        lines.append((starts.tolist(), steps.tolist(), ells.tolist()))
+        return (starts.sum(axis=1)[:, None, None] + steps.sum(axis=1)[:, None] * ells) % 2
 
     def evaluator(p):
         points.append(p)
@@ -147,7 +150,7 @@ def test_lines_below_the_reach_go_to_the_builder(start, step, ells):
     line = w.letters_along(start, step, ells)
     assert line.dtype == np.int64
     assert line.tolist() == [(sum(start) + sum(step) * ell) % 2 for ell in ells]
-    assert lines == [(start, step, ells)] and points == []
+    assert lines == [([list(start)], [list(step)], ells)] and points == []
 
 
 @pytest.mark.parametrize("start, step, ells", [
@@ -203,7 +206,7 @@ def test_translate_origin_checks_the_shifted_positions():
     left = translate_origin(w, (-3, 0))
     assert left.letters_along((3, 0), (1, 0), 2).tolist() == [0, 1]
     assert left.letter((4, 1)) == 0
-    assert lines == [((0, 0), (1, 0), [0, 1])] and points == [(1, 1)]
+    assert lines == [([[0, 0]], [[1, 0]], [0, 1])] and points == [(1, 1)]
     with pytest.raises(InvalidInput):
         left.letters_along((0, 0), (1, 0), 4)
     with pytest.raises(InvalidInput):
@@ -211,3 +214,85 @@ def test_translate_origin_checks_the_shifted_positions():
     far = translate_origin(w, (_REACH, 0))
     assert far.letters_along((0, 0), (1, 0), 2).tolist() == [0, 1]
     assert lines[1:] == [] and points[1:] == [(_REACH, 0), (_REACH + 1, 0)]
+
+
+def test_the_gate_takes_the_least_and_greatest_multiplier_in_any_order():
+    """Unsorted multipliers: the far one sends the line to pointwise reads
+    (the letter at 2^70 is 1), and a negative one leaves N^1."""
+    w = thue_morse_word()
+    assert w.letters_along((0,), (1 << 40,), [1 << 30, 0]).tolist() == [1, 0]
+    with pytest.raises(InvalidInput, match="leaves N\\^1"):
+        w.letters_along((0,), (1,), [5, -1])
+
+
+@pytest.mark.parametrize("multipliers", [range(3, 11), range(9, 0, -2), range(4, 4)])
+def test_a_range_reads_as_its_list(multipliers):
+    w, lines, _ = recording_checkerboard()
+    starts, steps = [(0, 0), (2, 5)], [(1, 0), (1, 1)]
+    out = w.letters_on_lines(starts, steps, multipliers)
+    assert out.tolist() == w.letters_on_lines(starts, steps, list(multipliers)).tolist()
+    assert out.tolist() == _family_letters(starts, steps, multipliers)
+    assert lines[:1] == ([([list(p) for p in starts], [list(q) for q in steps],
+                           list(multipliers))] if multipliers else [])
+
+
+def test_a_range_through_a_negative_multiplier_raises():
+    w, lines, points = recording_checkerboard()
+    with pytest.raises(InvalidInput, match="for ell in \\[-1, 3\\]"):
+        w.letters_along((0, 0), (1, 0), range(3, -2, -1))
+    assert lines == [] and points == []
+
+
+def _family_letters(starts, steps, ells) -> list:
+    return [[[(sum(p) + sum(q) * ell) % 2 for ell in ells] for q in steps] for p in starts]
+
+
+def test_a_family_is_one_builder_call_indexed_start_step_multiplier():
+    w, lines, points = recording_checkerboard()
+    starts, steps, ells = [(0, 0), (1, 0), (2, 5)], [(1, 0), (1, 1)], [3, 0, 7, 1]
+    out = w.letters_on_lines(starts, steps, ells)
+    assert out.dtype == np.int64 and out.shape == (3, 2, 4)
+    assert out.tolist() == _family_letters(starts, steps, ells)
+    assert lines == [([list(p) for p in starts], [list(q) for q in steps], ells)]
+    assert points == []
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 2), (1, 4, 9), (2, 1, 23), (3, 2, 4)])
+def test_builder_calls_stay_within_the_letter_cap(shape):
+    """With a cap of 7 letters a family is cut over starts, then steps,
+    then multipliers, and put back together in place."""
+    s_count, d_count, n = shape
+    starts = [(i, 2 * i + 1) for i in range(s_count)]
+    steps = [(j + 1, j) for j in range(d_count)]
+    w, lines, points = recording_checkerboard()
+    with mock.patch.object(lattice, "_CALL_LETTERS", 7):
+        out = w.letters_on_lines(starts, steps, n)
+    assert out.tolist() == _family_letters(starts, steps, range(n))
+    assert all(len(s) * len(q) * len(e) <= 7 for s, q, e in lines) and points == []
+    assert sum(len(s) * len(q) * len(e) for s, q, e in lines) == s_count * d_count * n
+
+
+def test_a_family_reaching_2_62_is_read_pointwise():
+    w, lines, points = recording_checkerboard()
+    starts, steps = [(0, 0), (_REACH - 2, 1)], [(1, 0), (0, 1)]
+    out = w.letters_on_lines(starts, steps, 3)
+    assert out.tolist() == _family_letters(starts, steps, range(3))
+    assert lines == [] and len(points) == 12
+
+
+@pytest.mark.parametrize("starts, steps, n", [([], [(1, 0)], 3), ([(0, 0)], [], 3),
+                                              ([(0, 0), (1, 1)], [(1, 0)], 0)])
+def test_empty_families_keep_their_shape(starts, steps, n):
+    w, lines, points = recording_checkerboard()
+    out = w.letters_on_lines(starts, steps, n)
+    assert out.dtype == np.int64 and out.shape == (len(starts), len(steps), n)
+    assert lines == [] and points == []
+
+
+def test_a_family_with_one_line_leaving_n_d_raises():
+    w, lines, points = recording_checkerboard()
+    with pytest.raises(InvalidInput, match="the line \\(0, -1\\) \\+ ell\\*\\(1, 0\\)"):
+        w.letters_on_lines([(3, 3), (0, -1)], [(1, 0), (1, 1)], 4)
+    with pytest.raises(DimensionError):
+        w.letters_on_lines([(3, 3)], [(1, 0), (1, 1, 1)], 4)
+    assert lines == [] and points == []

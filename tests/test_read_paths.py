@@ -1,7 +1,8 @@
 """Every batched multi-letter reader against the pointwise references.
 
-``directional_blocks``, ``sample_rows`` and ``sample_grid`` read whole
-lines through ``WordSource.letters_along``; ``factor_at`` and
+``WordSource.letters_on_lines`` reads families of lines, and
+``directional_blocks``, ``sample_rows`` and ``sample_grid`` read through it,
+one family per call; ``factor_at`` and
 ``WordSource.letter`` read one letter at a time and are the references.
 ``Morphism.iterate`` substitutes images and is checked against the plain
 recursion and against ``letter_in_fixed_point``.
@@ -10,14 +11,17 @@ recursion and against ``letter_in_fixed_point``.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multirec import lattice
 from multirec.cli import resolve_word
 from multirec.derive import directional_blocks
 from multirec.generators import Morphism
-from multirec.lattice import FiniteWord, factor_at, iter_box, translate_origin, vec_scale
+from multirec.lattice import FiniteWord, factor_at, iter_box, translate_origin, vec_add, vec_scale
 from multirec.recurrence import sample_grid
 from multirec.render import sample_rows
 from multirec.rotation import sturmian_spec
@@ -66,6 +70,25 @@ def test_batched_readers_match_pointwise_letters(name, data):
     assert grid.shape == box
     assert all(grid[p] == w.letter(p) for p in iter_box(box))
     assert sample_rows(w, box) == _pointwise_rows(w, box)
+
+
+@pytest.mark.parametrize("name", WORD_NAMES)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_family_reads_match_pointwise_letters(name, data):
+    """Families of lines in any multiplier order, cut into builder calls
+    as small as one letter."""
+    w = resolve_word(name, seed=5)
+    vec = st.tuples(*[st.integers(0, 30)] * w.dimension)
+    starts = data.draw(st.lists(vec, min_size=1, max_size=4), label="starts")
+    steps = data.draw(st.lists(vec, min_size=1, max_size=3), label="steps")
+    ells = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=12), label="ells")
+    cap = data.draw(st.sampled_from([1, 5, 64, lattice._CALL_LETTERS]), label="cap")
+    with mock.patch.object(lattice, "_CALL_LETTERS", cap):
+        out = w.letters_on_lines(starts, steps, ells)
+    assert out.dtype == np.int64
+    assert out.tolist() == [[[w.letter(vec_add(p, vec_scale(q, ell))) for ell in ells]
+                             for q in steps] for p in starts]
 
 
 @st.composite

@@ -180,9 +180,30 @@ def test_fixed_line_switches_to_exact_reads_where_the_error_bound_reaches_the_ba
     for spread_p, spread_q in ((0, 1), (1000, 3), (_BAND - 2, 5), (_BAND - 1, 1), (5, 0)):
         ells = np.array(sorted({0, 1, 2, *(max(0, (_BAND - 1 - spread_p) // max(spread_q, 1) + j)
                                            for j in (-1, 0, 1))}), dtype=np.int64)
-        _, exact = _fixed_line(1 << 63, 0, ells, np.array([], dtype=np.uint64),
-                               spread_p, spread_q)
-        assert exact.tolist() == [1 + spread_p + ell * spread_q >= _BAND for ell in ells.tolist()]
+        _, exact = _fixed_line([1 << 63], [0], ells, np.array([], dtype=np.uint64),
+                               [spread_p], [spread_q])
+        assert exact[0, 0].tolist() == [1 + spread_p + ell * spread_q >= _BAND for ell in ells.tolist()]
+
+
+def test_fixed_line_bounds_each_line_of_a_family_by_its_own_spreads():
+    spread_p, spread_q = [0, _BAND - 40, _BAND], [1, 7, 0]
+    ells = np.array([0, 5, 6, 9, 1 << 31, (1 << 34) - 2, 1 << 34], dtype=np.int64)
+    x, exact = _fixed_line([1 << 63] * 3, [0] * 3, ells, np.array([], dtype=np.uint64),
+                           spread_p, spread_q)
+    assert x.shape == exact.shape == (3, 3, len(ells))
+    assert exact.tolist() == [[[1 + p + ell * q >= _BAND for ell in ells.tolist()]
+                               for q in spread_q] for p in spread_p]
+
+
+def test_family_reads_put_exact_letters_on_their_own_line():
+    """Past two multipliers the step (2^33, 1) has an error bound of 2^34
+    units, so its letters are read exactly, while the other step's stay on
+    the fixed-point circle."""
+    w = sturmian_spec().word()
+    starts, steps = [(0, 0), (3, 1)], [(1, 0), (1 << 33, 1)]
+    out = w.letters_on_lines(starts, steps, 12)
+    assert out.tolist() == [[[w.letter((p[0] + ell * q[0], p[1] + ell * q[1])) for ell in range(12)]
+                             for q in steps] for p in starts]
 
 
 def test_fixed_orbit_stays_uint64_and_wraps_mod_2_64():
@@ -191,9 +212,9 @@ def test_fixed_orbit_stays_uint64_and_wraps_mod_2_64():
     x0, delta = (1 << 64) - 12345, (1 << 63) + 987654321
     ells = np.array([0, 1, 2, 3, 1 << 31, (1 << 62) + 7], dtype=np.int64)
     edges = np.array([1 << 62, 3 << 62], dtype=np.uint64)
-    x, exact = _fixed_line(x0, delta, ells, edges, 0, 1)
+    x, exact = _fixed_line([x0], [delta], ells, edges, [0], [1])
     assert x.dtype == np.uint64
-    assert x.tolist() == [(x0 + ell * delta) % (1 << 64) for ell in ells.tolist()]
+    assert x[0, 0].tolist() == [(x0 + ell * delta) % (1 << 64) for ell in ells.tolist()]
     assert exact.dtype == bool
 
 
