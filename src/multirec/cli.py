@@ -55,6 +55,10 @@ _JSON_SEP = (",", ": ")
 _MAX_LETTERS = 1 << 20
 # Most (size, origin, direction) lines one check run may scan.
 _MAX_LINES = 1 << 16
+# Most letters one check or derive run may read over all its lines: lines x
+# (horizon + 1) in a check, scan-box cells x block cells x (horizon + 1) in
+# a derive.
+_MAX_SCAN_LETTERS = 1 << 26
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,15 +138,16 @@ def load_morphism_arg(args) -> Morphism:
         return morphism_from_json(json.load(fh))
 
 
-def _check_read_size(what: str, letters: int) -> None:
-    if letters > _MAX_LETTERS:
-        raise _Usage(f"{what} reads more than the limit of {_MAX_LETTERS} letters")
+def _check_read_size(what: str, letters: int, limit: int = _MAX_LETTERS) -> None:
+    if letters > limit:
+        raise _Usage(f"{what} reads more than the limit of {limit} letters")
 
 
 def _check_budget(budget: RecurrenceBudget, mode: str, d: int) -> None:
     """Refuse a budget whose reads exceed the limits, before reading: a
-    line's horizon + 1 letters and the line count (origins enumerated in
-    ssurdo mode only) in the line modes, the window scan's grid in ur."""
+    line's horizon + 1 letters, the line count (origins enumerated in
+    ssurdo mode only) and the letters of all lines in the line modes, the
+    window scan's grid in ur."""
     if mode == "ur":
         side = 2 * budget.block_bound + budget.size_bound
         _check_read_size(f"--budget ur grid {side}^{d}", side ** d)
@@ -152,6 +157,8 @@ def _check_budget(budget: RecurrenceBudget, mode: str, d: int) -> None:
     lines = budget.size_bound ** d * origins * (budget.direction_bound + 1) ** d
     if lines > _MAX_LINES:
         raise _Usage(f"--budget scans about {lines} lines, above the limit of {_MAX_LINES}")
+    _check_read_size(f"--budget of about {lines} lines to horizon {budget.horizon}",
+                     lines * (budget.horizon + 1), _MAX_SCAN_LETTERS)
 
 
 def block_text(block: FiniteWord) -> str:
@@ -356,10 +363,16 @@ def cmd_derive(args) -> int:
     w = resolve_word(args.word, seed=args.seed)
     size = parse_box(args.size)
     box = parse_box(args.box)
-    if args.scheme == "per-direction":
+    per_direction = args.scheme == "per-direction"
+    scan = parse_box(args.scan_box) if args.scan_box and not per_direction else None
+    # the box whose lines are read, at most one line per cell
+    scanned = box if per_direction else scan or (max(box),) * len(box)
+    _check_read_size(f"derive of size {args.size} over {'x'.join(map(str, scanned))} "
+                     f"to horizon {args.horizon}",
+                     math.prod(scanned) * math.prod(size) * (args.horizon + 1), _MAX_SCAN_LETTERS)
+    if per_direction:
         dw = derivative_per_direction(w, size, box, horizon=args.horizon)
     else:
-        scan = parse_box(args.scan_box) if args.scan_box else None
         dw = derivative_uniform(w, size, box, horizon=args.horizon, scan_box=scan)
     if args.json:
         payload = {

@@ -171,14 +171,15 @@ class WordSource:
     front of it: it calls the builder only for nonempty families inside N^d
     within reach, where max(starts) + max(steps) * max(max(ells), 1) < 2^62,
     so every coordinate and product a builder forms fits in int64, and it
-    splits a family into builder calls of at most ``_CALL_LETTERS`` = 2^13
-    letters (larger calls cost more per letter: with 2^14-letter calls the
-    2x2 survey ran about 30% slower on a 2-vCPU x86-64 machine).  Families
-    beyond the reach, and words without a builder, are read pointwise
-    through the evaluator, exact at any size.  Rotation orbits, morphic
-    digit walks (m digits per table lookup), Thue-Morse parities, gcd
-    placements and the Toeplitz filling have builders.  Evaluators must be
-    deterministic; internal memoization is allowed but invisible.
+    is the one place that splits a family into builder calls, of at most
+    ``_CALL_LETTERS`` = 2^13 letters each (larger calls cost more per
+    letter: with 2^14-letter calls the 2x2 survey ran about 30% slower on
+    a 2-vCPU x86-64 machine); callers bound only the family they ask for.
+    Families beyond the reach, and words without a builder, are read
+    pointwise through the evaluator, exact at any size.  Rotation orbits,
+    morphic digit walks (m digits per table lookup), Thue-Morse parities,
+    gcd placements and the Toeplitz filling have builders.  Evaluators must
+    be deterministic; internal memoization is allowed but invisible.
     """
 
     __slots__ = ("dimension", "alphabet_size", "_evaluator", "_line_builder", "name")

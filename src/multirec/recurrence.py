@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Vector, WordSource, _call_slices, iter_box
+from .lattice import Vector, WordSource, iter_box
 from .residues import iter_coprime_directions
 
 BOUNDED_WITNESSED = "BOUNDED_WITNESSED"
@@ -120,11 +120,13 @@ def _occurrences(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: in
     return _unpacked(_scan(w, p0, [q], [size], 0, horizon)[0][0, 0], horizon)
 
 
-# Most cells of a match table held at once (one byte each); a larger table
-# is built and ANDed one slice at a time, cut along the multipliers, then
-# along the directions.  2^24 keeps every default sweep in one slice (the
-# 2-D ssurdo table is 36 starts x 21 directions x 5001 multipliers).
-_TABLE_CELLS = 1 << 24
+# Most letters one slice of a match table reads (8 bytes of int64 each,
+# plus a byte of table); a larger table is read and ANDed one slice at a
+# time, cut along the multipliers, then along the directions.  Each slice
+# is one letters_on_lines call: the gate alone cuts it into builder calls.
+# Sweep times did not change from 2^18 to 2^21 letters, and the peak memory
+# of large checks was least at 2^19; every 2x2 survey table is one slice.
+_SLICE_LETTERS = 1 << 19
 
 
 def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector],
@@ -137,28 +139,30 @@ def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector]
     Every line from a start in corner + [0, origin_bound + max size)^d is
     read once, into a bool match table of "letter == letter at ell = 0",
     and a block occurs where the table's views at its cells all hold.  The
-    table is built in slices of at most _TABLE_CELLS cells, each taking
-    every multiplier or a multiple of 8 of them (a byte of the bit rows),
-    and every size ANDs each slice before the next is read.  So memory
-    stays within a slice plus one bit per (size, report, multiplier).
+    table is read in slices of at most _SLICE_LETTERS letters, each one
+    letters_on_lines call taking every multiplier or a multiple of 8 of
+    them (a byte of the bit rows), and every size ANDs each slice before
+    the next is read.  So memory stays within a slice's letters and table
+    plus one bit per (size, report, multiplier).
     """
     n = max(horizon + 1, 0)
     extent = tuple(origin_bound + max(c) for c in zip(*sizes))
     starts = list(itertools.product(*map(range, corner, map(add, corner, extent))))
     span = (origin_bound + 1,) * len(corner)
     origins = span[0] ** len(span)
-    per_start = _TABLE_CELLS // max(1, len(starts))
+    per_start = _SLICE_LETTERS // max(1, len(starts))
     per_line = per_start // len(dirs)
     nc = max(n, 1) if per_line >= n else max(8, per_line // 8 * 8)
     dc = max(1, min(len(dirs), per_start // nc))
-    ref = np.empty((len(starts), 1, 1), dtype=np.int64)
     found = [np.zeros((origins, len(dirs), -(-n // 8)), dtype=np.uint8) for _ in sizes]
     for k in range(0, max(n, 1), nc):
-        ells = range(k, min(k + nc, n))
         for j in range(0, len(dirs), dc):
-            table = _match_table(w, starts, ref, dirs[j:j + dc], ells)
-            rows = table.shape[1:]
-            table = table.reshape(extent + rows)
+            letters = w.letters_on_lines(starts, dirs[j:j + dc], range(k, min(k + nc, n)))
+            if k == j == 0:
+                ref = letters[:, :1, :1].copy()
+            rows = letters.shape[1:]
+            table = (letters == ref).reshape(extent + rows)
+            del letters
             for bits, s in zip(found, sizes):
                 mask = _and_cells(table, s, span).reshape((origins,) + rows)
                 packed = np.packbits(mask, axis=-1)
@@ -169,22 +173,6 @@ def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector]
 def _unpacked(bits: np.ndarray, horizon: int) -> np.ndarray:
     """The multipliers ell <= horizon set in a row of bits, as int64."""
     return np.unpackbits(bits, count=max(horizon + 1, 0)).nonzero()[0]
-
-
-def _match_table(w: WordSource, starts: list[Vector], ref: np.ndarray, dirs: list[Vector],
-                 ells: range) -> np.ndarray:
-    """Bool table t[i, j, k]: the letter at starts[i] + ells[k]*dirs[j]
-    equals ref[i, 0, 0], the letter at starts[i].  It is read in
-    letters_on_lines calls of at most _CALL_LETTERS letters, each compared
-    in place.  ref is filled from the calls that begin at ell = 0: a scan's
-    first slice begins there, and each start's first call in it does too."""
-    table = np.empty((len(starts), len(dirs), len(ells)), dtype=bool)
-    for i, j, k in _call_slices(table.shape):
-        letters = w.letters_on_lines(starts[i], dirs[j], ells[k])
-        if ells[k][0] == 0:
-            ref[i] = letters[:, :1, :1]
-        np.equal(letters, ref[i], out=table[i, j, k])
-    return table
 
 
 def _and_cells(table: np.ndarray, size: Vector, origins: Vector) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from multirec import morphic
-from multirec.cli import _MAX_LETTERS, _MAX_LINES, _check_budget, main
+from multirec.cli import _MAX_LETTERS, _MAX_LINES, _MAX_SCAN_LETTERS, _check_budget, main
 from multirec.figures import _fixture
 from multirec.generators import Morphism, morphism_to_json
 from multirec.lattice import FiniteWord, WordSource
@@ -334,6 +334,7 @@ def no_reads(monkeypatch):
 
     monkeypatch.setattr(WordSource, "letter", never)
     monkeypatch.setattr(WordSource, "letters_along", never)
+    monkeypatch.setattr(WordSource, "letters_on_lines", never)
     monkeypatch.setattr(Morphism, "iterate", never)
 
 
@@ -355,7 +356,9 @@ def test_oversized_reads_exit_1_before_reading(capsys, no_reads, argv):
     ("ur", "100,1,2,1,600000", "limit of 1048576 letters"),
     ("urd", "100,300,1,1,8", "limit of 65536"),
     ("ssurdo", "100,20,3,20,8", "limit of 65536"),
-], ids=["horizon", "ur-grid", "directions", "ssurdo-lines"])
+    ("urd", "1048575,255,1,1,256", "limit of 67108864 letters"),
+    ("ssurdo", "5000,15,2,7,256", "limit of 67108864 letters"),
+], ids=["horizon", "ur-grid", "directions", "ssurdo-lines", "urd-letters", "ssurdo-letters"])
 def test_oversized_budgets_exit_1_before_reading(capsys, no_reads, mode, budget, limit):
     code, out, err = run(capsys, "check", "--preset", "sierpinski", "--mode", mode, "--budget", budget)
     assert code == 1
@@ -366,11 +369,26 @@ def test_oversized_budgets_exit_1_before_reading(capsys, no_reads, mode, budget,
 def test_budget_limits_are_inclusive_and_the_defaults_pass():
     for mode in ("urd", "surd", "ssurdo", "ur"):
         _check_budget(RecurrenceBudget(), mode, 2)
-    _check_budget(RecurrenceBudget(horizon=_MAX_LETTERS - 1), "urd", 2)
-    # (2*511 + 2)^2 = 2^20 grid cells; 4 * 8^2 * 16^2 = 2^16 lines
+    # 2^20 letters on each of 8^2 lines; (2*511 + 2)^2 = 2^20 grid cells;
+    # 4 * 8^2 * 16^2 = 2^16 lines of 2^10 letters
+    _check_budget(RecurrenceBudget(_MAX_LETTERS - 1, direction_bound=7, size_bound=1), "urd", 2)
     _check_budget(RecurrenceBudget(size_bound=2, block_bound=511), "ur", 2)
-    _check_budget(RecurrenceBudget(direction_bound=15, size_bound=2, origin_bound=7), "ssurdo", 2)
-    assert 4 * 8**2 * 16**2 == _MAX_LINES
+    _check_budget(RecurrenceBudget(1023, direction_bound=15, size_bound=2, origin_bound=7),
+                  "ssurdo", 2)
+    assert 8**2 * _MAX_LETTERS == 4 * 8**2 * 16**2 * 2**10 == _MAX_LINES * 2**10 == _MAX_SCAN_LETTERS
+
+
+@pytest.mark.parametrize("extra", [
+    ["--box", "3000x3000"],
+    ["--box", "2x2", "--horizon", "400000000"],
+    ["--box", "2x1", "--scheme", "uniform", "--scan-box", "3000x3000"],
+], ids=["box", "horizon", "scan-box"])
+def test_oversized_derives_exit_1_before_reading(capsys, no_reads, extra):
+    code, out, err = run(capsys, "derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "limit of 67108864 letters" in err
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -15,6 +15,7 @@ crosses 2^62, which are read pointwise.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -102,7 +103,7 @@ claims = st.none() | st.integers(1, 40) | st.just(lambda s: 3 * max(s))
 @pytest.mark.parametrize("name", sorted(WORDS))
 @given(horizon=st.integers(1, 200), direction_bound=st.integers(1, 3),
        size_bound=st.integers(1, 2), origin_bound=st.integers(1, 2), claim=claims,
-       table_cells=st.sampled_from([recurrence._TABLE_CELLS, 300, 1]))
+       table_cells=st.sampled_from([recurrence._SLICE_LETTERS, 300, 1]))
 @settings(max_examples=6, deadline=None)
 def test_sweeps_match_the_lazy_reference(name, horizon, direction_bound, size_bound,
                                          origin_bound, claim, table_cells):
@@ -112,7 +113,7 @@ def test_sweeps_match_the_lazy_reference(name, horizon, direction_bound, size_bo
     direction."""
     w = WORDS[name]()
     budget = RecurrenceBudget(horizon, direction_bound, size_bound, origin_bound)
-    with mock.patch.object(recurrence, "_TABLE_CELLS", table_cells):
+    with mock.patch.object(recurrence, "_SLICE_LETTERS", table_cells):
         urd = check_urd_empirical(w, budget, claim=claim)
         surd = check_surd_empirical(w, budget, claim=claim)
         ssurdo = check_ssurdo_empirical(w, budget, claim=claim)
@@ -173,15 +174,15 @@ def test_sweeps_of_a_word_translated_past_2_62(name):
         _summarize(s, reports) for s, reports in reference_sweep(w, budget, None, None, 1)]
 
 
-@pytest.mark.parametrize("table_cells", [1, 216, 1080])
-def test_tables_built_in_slices_match_the_lazy_reference(table_cells):
-    """The sweep reads 9 starts along 5 directions.  A slice of 1080 cells
-    takes 24 multipliers of every direction, one of 216 takes 8 multipliers
-    of 3 directions, and one of 1 takes 8 multipliers (a byte of the bit
-    rows) of one direction."""
+@pytest.mark.parametrize("slice_letters", [1, 216, 1080])
+def test_tables_built_in_slices_match_the_lazy_reference(slice_letters):
+    """The sweep reads 9 starts along 5 directions.  A slice of 1080
+    letters takes 24 multipliers of every direction, one of 216 takes 8
+    multipliers of 3 directions, and one of 1 takes 8 multipliers (a byte
+    of the bit rows) of one direction."""
     w = WORDS["surd-not-ssurdo-2x2"]()
     budget = RecurrenceBudget(130, 2, 2, 1)
-    with mock.patch.object(recurrence, "_TABLE_CELLS", table_cells):
+    with mock.patch.object(recurrence, "_SLICE_LETTERS", slice_letters):
         got = check_ssurdo_empirical(w, budget)
         report = gap_report(w, (2, 1), (3, 2), (4, 5), 130)
     assert got == [_summarize(s, reports) for s, reports in
@@ -189,34 +190,38 @@ def test_tables_built_in_slices_match_the_lazy_reference(table_cells):
     assert report == reference_report(w, (2, 1), (3, 2), (4, 5), 130)
 
 
-@pytest.mark.parametrize("table_cells", [100, 5000])
-def test_slices_and_reads_stay_within_their_caps(table_cells):
-    """Each match table slice holds at most _TABLE_CELLS cells and each
-    family read at most _CALL_LETTERS letters, whatever the horizon: 5000
-    cells take 56 multipliers of all 9 directions, 100 take 8 of one."""
-    w = WORDS["sturmian"]()
+@pytest.mark.parametrize("slice_letters", [100, 5000])
+def test_slices_and_reads_stay_within_their_caps(slice_letters):
+    """Each letters_on_lines call of the sweep reads at most _SLICE_LETTERS
+    letters and each builder call at most _CALL_LETTERS, whatever the
+    horizon: 5000 letters take 56 multipliers of all 9 directions, 100
+    take 8 of one, and the gate cuts either into builder calls."""
+    plain = WORDS["sturmian"]()
+    calls = []
+
+    def recorded(starts, steps, ells):
+        calls.append((starts.tolist(), steps.tolist(), ells.tolist()))
+        return plain._line_builder(starts, steps, ells)
+
+    w = WordSource(plain.dimension, plain.alphabet_size, plain._evaluator, recorded)
     budget = RecurrenceBudget(2000, 3, 2, 1)
-    reads, tables = [], []
-    read, table = WordSource.letters_on_lines, recurrence._match_table
+    reads = []
+    read = WordSource.letters_on_lines
 
     def counted_read(self, starts, steps, multipliers):
         out = read(self, starts, steps, multipliers)
         reads.append(out.size)
         return out
 
-    def counted_table(*args):
-        out = table(*args)
-        tables.append(out.size)
-        return out
-
     with mock.patch.object(WordSource, "letters_on_lines", counted_read), \
-            mock.patch.object(recurrence, "_match_table", counted_table), \
-            mock.patch.object(recurrence, "_TABLE_CELLS", table_cells), \
+            mock.patch.object(recurrence, "_SLICE_LETTERS", slice_letters), \
             mock.patch.object(lattice, "_CALL_LETTERS", 300):
         got = check_ssurdo_empirical(w, budget)
-    assert len(tables) > 1 and max(tables) <= table_cells
-    assert max(reads) <= 300
+    assert len(reads) > 1 and max(reads) <= slice_letters
+    assert max(len(s) * len(q) * len(e) for s, q, e in calls) <= 300
     # the table's 9 starts x 9 directions x 2001 multipliers, each read once
-    assert sum(tables) == sum(reads) == 9 * 9 * 2001
+    letters = Counter((tuple(p), tuple(q), ell) for starts, steps, ells in calls
+                      for p in starts for q in steps for ell in ells)
+    assert len(letters) == 9 * 9 * 2001 and set(letters.values()) == {1}
     assert got == [_summarize(s, reports) for s, reports in
-                   reference_sweep(w, budget, None, None, 1)]
+                   reference_sweep(plain, budget, None, None, 1)]
