@@ -365,6 +365,8 @@ def cmd_derive(args) -> int:
     box = parse_box(args.box)
     per_direction = args.scheme == "per-direction"
     scan = parse_box(args.scan_box) if args.scan_box and not per_direction else None
+    if args.horizon < 0:
+        raise _Usage(f"bad --horizon {args.horizon}, it must be nonnegative")
     # the box whose lines are read, at most one line per cell
     scanned = box if per_direction else scan or (max(box),) * len(box)
     _check_read_size(f"derive of size {args.size} over {'x'.join(map(str, scanned))} "

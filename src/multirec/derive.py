@@ -153,9 +153,6 @@ class DerivativeWord:
         """Nested lists, outer index = last coordinate (bottom row first)."""
         return self._grid.to_nested()
 
-    def distinct_codes(self) -> set[int]:
-        return {c for c in self.codes if c != UNDEFINED}
-
 
 def _scan_lines(
     w: WordSource, size: Vector, lines: dict[Vector, int], horizon: int
@@ -244,14 +241,6 @@ def derivative_uniform(
     table = CodeTable(tuple(order), s, w.alphabet_size)
     codes = _grid_codes(box, UNDEFINED, lambda q, g: table.code_of(per_line[q][g]))
     return DerivativeWord(UNIFORM, s, box, codes, {None: table})
-
-
-def decode_line(
-    table: CodeTable, codes: Sequence[int]
-) -> list[FiniteWord]:
-    """Concatenate the return words behind a code sequence back into the
-    directional block word they came from."""
-    return [block for c in codes for block in table.blocks_of(c)]
 
 
 def grids_agree_up_to_bijection(a: DerivativeWord, b: DerivativeWord) -> bool:

@@ -1,13 +1,14 @@
 """Word sources: constant-size morphic fixed points, classical unidimensional
 words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
 fixed points have two digit walks, one per letter and one per line (see
-Morphism); the line walk reads m digits per table lookup into the images of
-phi^m.  ``Morphism.iterate`` substitutes and walks no digits, so it is a
-reference for both.  Line builders are plain numpy kernels over a family
-of lines (starts x steps x multipliers, broadcast to one (S, D, n) array):
-``WordSource.letters_on_lines`` hands them only nonempty families inside
-N^d below its 2^62 reach, in calls of at most 2^13 letters, and reads
-every other family pointwise."""
+Morphism); the line walk reads a long line through the lines of its high
+digits, one table gather per letter, and a short one m digits per table
+lookup into the images of phi^m.  ``Morphism.iterate`` substitutes and
+walks no digits, so it is a reference for both.  Line builders are plain
+numpy kernels over a family of lines (starts x steps x multipliers,
+broadcast to one (S, D, n) array): ``WordSource.letters_on_lines`` hands
+them only nonempty families inside N^d below its 2^62 reach, in calls of
+at most 2^14 letters, and reads every other family pointwise."""
 
 from __future__ import annotations
 
@@ -23,23 +24,24 @@ from .errors import ConstructionBug, NotProlongable
 from .lattice import FiniteWord, Vector, WordSource
 
 
-def _coordinates(starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> list[np.ndarray]:
-    """Per axis, the (S, D, n) int64 array of starts[i] + ells[k] * steps[j]."""
-    return [s[:, None, None] + t[:, None] * ells for s, t in zip(starts.T, steps.T)]
-
-
 def _uint64_line(letters_of):
-    """The line builder that hands letters_of the family's uint64 coordinate arrays."""
+    """The line builder that hands letters_of the family's coordinates, per
+    axis the (S, D, n) uint64 array of starts[i] + ells[k] * steps[j]."""
     return lambda starts, steps, ells: letters_of(
-        *[c.astype(np.uint64) for c in _coordinates(starts, steps, ells)])
+        *[(s[:, None, None] + t[:, None] * ells).astype(np.uint64)
+          for s, t in zip(starts.T, steps.T)])
 
 
 # ---------------------------------------------------------------------------
 # morphisms
 
 
-# Most cells of phi^m(b) the chunked line walk's table holds per letter.
+# Most cells of phi^m(b) the line walk's table holds per letter.
 _TABLE_CELLS = 1 << 12
+# Lines of at least this many blocks of B multipliers are read through
+# their high lines; shorter ones chunk by chunk.  At 8 blocks, derive on a
+# 12x8 box (lines of 513 multipliers) ran 15-43% slower than at 16.
+_WALK_BLOCKS = 16
 
 
 def _ndigits(n: int, base: int) -> int:
@@ -61,10 +63,14 @@ class Morphism:
     for whole lines below 2^62.
 
     A fixed point of phi is also one of phi^m, so the line walk reads m
-    base-s_j digits as one base-s_j^m digit: one gather per chunk into a
-    flat table of the images phi^m(b), with m the largest such that
-    phi^m(b) has at most ``_TABLE_CELLS`` cells (m = 6 for 2x2, 3 for 3x3,
-    12 for a 1-D s = 2).  The table is built at the first line read.
+    base-s_j digits as one base-s_j^m digit, from a flat table of the
+    images phi^m(b), with m the largest such that phi^m(b) has at most
+    ``_TABLE_CELLS`` cells (m = 6 for 2x2, 3 for 3x3, 12 for a 1-D s = 2).
+    The table is built at the first line read.  A line spanning at least
+    ``_WALK_BLOCKS`` blocks of B = lcm(s_j^m) multipliers reads every
+    letter with one gather from the letters of a few lines B times shorter,
+    those of its high digits (see ``_walk``); shorter lines take one gather
+    per chunk of m digits (``_chunk_walk``).
     """
 
     __slots__ = ("images", "dims", "_cells", "_strides", "_chunks")
@@ -87,7 +93,7 @@ class Morphism:
         for s in dims[:-1]:
             strides.append(strides[-1] * s)
         self._strides = tuple(strides)
-        self._chunks: tuple[int, np.ndarray] | None = None
+        self._chunks: tuple[int, np.ndarray, list[int], int] | None = None
 
     @property
     def alphabet_size(self) -> int:
@@ -156,10 +162,11 @@ class Morphism:
             grid = images[grid].transpose(order).reshape(shape)
         return grid
 
-    def _chunk_table(self) -> tuple[int, np.ndarray]:
-        """(m, table) with table[b * cells + off] the letter of phi^m(b) at
-        mixed-radix offset off (first coordinate fastest), stored in the
-        smallest unsigned dtype that holds the alphabet."""
+    def _chunk_table(self) -> tuple[int, np.ndarray, list[int], int]:
+        """(m, table, radices, B): table[b * cells + off] is the letter of
+        phi^m(b) at mixed-radix offset off (first coordinate fastest),
+        stored in the smallest unsigned dtype that holds the alphabet; the
+        radices are r_j = s_j^m, cells their product and B their lcm."""
         if self._chunks is None:
             cells = math.prod(self.dims)
             m = 1
@@ -167,7 +174,9 @@ class Morphism:
                 m += 1
             table = np.concatenate([self._substitute(b, m).ravel()
                                     for b in range(self.alphabet_size)])
-            self._chunks = (m, table.astype(np.min_scalar_type(self.alphabet_size - 1)))
+            radices = [s ** m for s in self.dims]
+            self._chunks = (m, table.astype(np.min_scalar_type(self.alphabet_size - 1)),
+                            radices, math.lcm(*radices))
         return self._chunks
 
     def power(self, i: int) -> "Morphism":
@@ -196,43 +205,103 @@ class Morphism:
                           name=name or f"fixedpoint({a})")
 
     def _line_evaluator(self, a: int):
-        """Batch digit walk over a family of lines (the ``WordSource`` line
-        builder contract), returning int64 letters.
-
-        Leading zero digits map a to a (prolongability), so every position
-        can be padded to the depth of the largest coordinate and the walk
-        runs as one table gather per chunk of m digits over the whole line,
-        most significant chunk first.
-        """
+        """Line builder (the ``WordSource`` contract) over ``_walk``,
+        returning int64 letters."""
 
         def lb(starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> np.ndarray:
-            top = max(s + t * ells.max().item()
-                      for s, t in zip(starts.max(axis=0).tolist(), steps.max(axis=0).tolist()))
-            m, table = self._chunk_table()
-            radices = [s ** m for s in self.dims]
-            cells = math.prod(radices)
-            # Chunk offsets into phi^m(b), least significant chunk first.
-            # Floor division by a scalar is much faster than numpy's % or
-            # divmod, so each digit is c - (c // r) * r.
-            coords = _coordinates(starts, steps, ells)
-            offsets = []
-            for _ in range(max(_ndigits(top, r) for r in radices)):
-                stride = 1
-                for axis, r in enumerate(radices):
-                    c = coords[axis]
-                    coords[axis] = c // r
-                    digit = c - coords[axis] * r
-                    off = digit if axis == 0 else off + digit * stride
-                    stride *= r
-                offsets.append(off)
-            letters = np.full(coords[0].shape, a, dtype=np.int64)
-            for off in reversed(offsets):
-                # The int64 product keeps a uint8 letter times a large cell
-                # count from wrapping under any numpy promotion rules.
-                letters = table[np.multiply(letters, cells, dtype=np.int64) + off]
-            return letters.astype(np.int64)
+            return self._walk(a, starts[:, None], steps[None], ells).astype(np.int64)
 
         return lb
+
+    def _walk(self, a: int, starts: np.ndarray, steps: np.ndarray,
+              ells: np.ndarray) -> np.ndarray:
+        """Letters at start + ells[k] * step along the lines whose starts
+        and steps broadcast to shape (..., d), as an array of shape
+        (..., n) and the table's dtype.
+
+        With r_j = s_j^m and B = lcm(r_j), write ell = h*B + t, t < B.  The
+        point p = start + ell*step has low part p mod r = (start + t*step)
+        mod r and high part floor(p / r) = floor((start + t*step) / r) +
+        h * step * (B / r), so its letter is phi^m(b)[p mod r] with b read
+        on a high line.  Along one line the high starts only change where
+        some axis crosses a multiple of r_j, so the B values of t meet at
+        most 1 + sum(step_j * B / r_j) distinct high lines, each B times
+        shorter, and every letter costs a few gathers.  The high lines are
+        read by the same walk.  Lines of fewer than ``_WALK_BLOCKS`` * B
+        multipliers, spanning fewer than ``_WALK_BLOCKS`` blocks of B, or
+        reading fewer than half of the multipliers they span, are read chunk
+        by chunk instead.
+        """
+        _, table, radices, block = self._chunk_table()
+        if len(ells) < _WALK_BLOCKS * block:
+            return self._chunk_walk(a, starts, steps, ells)
+        first, last = ells.min().item() // block, ells.max().item() // block
+        span = last - first + 1
+        if span < _WALK_BLOCKS or span * block > 2 * len(ells):
+            return self._chunk_walk(a, starts, steps, ells)
+        shape = np.broadcast_shapes(starts.shape, steps.shape)
+        starts, steps = (np.broadcast_to(v, shape).reshape(-1, shape[-1]) for v in (starts, steps))
+        # Each line at ell = first*B + t for t < B.  The walk reads up to
+        # ell = (last + 1)*B - 1, past max(ells) >= 15*B by less than B, so
+        # every coordinate stays below 16/15 of the gate's 2^62.
+        starts = starts + steps * (first * block)
+        t = np.arange(block)
+        highs = []
+        stride = 1
+        for axis, r in enumerate(radices):
+            pos = starts[:, axis, None] + steps[:, axis, None] * t
+            high = pos // r
+            low = pos - high * r
+            moved = high[:, 1:] != high[:, :-1]
+            off = low if axis == 0 else off + low * stride
+            changed = moved if axis == 0 else changed | moved
+            highs.append(high)
+            stride *= r
+        new = np.ones(off.shape, dtype=bool)
+        new[:, 1:] = changed
+        below = self._walk(a, np.stack([high[new] for high in highs], axis=1),
+                           np.repeat(steps * (block // np.array(radices)), new.sum(axis=1), axis=0),
+                           np.arange(span))
+        # Line i's letter at ell = (first + h)*B + t is phi^m(b)[off[i, t]]
+        # with b = below[group[i, t], h]: one row gather, one add, one table
+        # gather.  The int64 product keeps a uint8 letter times a large cell
+        # count from wrapping under any numpy promotion rules.
+        group = np.cumsum(new).reshape(new.shape) - 1
+        base = np.multiply(below, math.prod(radices), dtype=np.int64)
+        index = np.add(np.take(base, group, axis=0).transpose(0, 2, 1), off[:, None, :])
+        letters = np.take(table, index).reshape(len(starts), span * block)
+        return np.take(letters, ells - first * block, axis=1).reshape(*shape[:-1], len(ells))
+
+    def _chunk_walk(self, a: int, starts: np.ndarray, steps: np.ndarray,
+                    ells: np.ndarray) -> np.ndarray:
+        """``_walk`` digit by digit: leading zero digits map a to a
+        (prolongability), so every position is padded to the depth of the
+        largest coordinate and the walk runs as one table gather per chunk
+        of m digits over all lines, most significant chunk first."""
+        _, table, radices, _ = self._chunk_table()
+        cells = math.prod(radices)
+        top = (starts + steps * ells.max()).max().item()
+        # Chunk offsets into phi^m(b), least significant chunk first.
+        # Floor division by a scalar is much faster than numpy's % or
+        # divmod, so each digit is c - (c // r) * r.
+        coords = [starts[..., j, None] + steps[..., j, None] * ells for j in range(len(radices))]
+        offsets = []
+        for _ in range(max(1, *(_ndigits(top, r) for r in radices))):
+            stride = 1
+            for axis, r in enumerate(radices):
+                c = coords[axis]
+                coords[axis] = c // r
+                digit = c - coords[axis] * r
+                off = digit if axis == 0 else off + digit * stride
+                stride *= r
+            offsets.append(off)
+        index = a * cells
+        for off in reversed(offsets):
+            letters = table[index + off]
+            # The int64 product keeps a uint8 letter times a large cell
+            # count from wrapping under any numpy promotion rules.
+            index = np.multiply(letters, cells, dtype=np.int64)
+        return letters
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Morphism) and self.images == other.images
@@ -243,13 +312,6 @@ class Morphism:
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.dims))
         return f"Morphism(k={self.alphabet_size}, {shape})"
-
-
-def morphic_prefix(m: Morphism, a: int, n: int) -> FiniteWord:
-    """The block m^n(a); equals the size-(s^n) prefix of the fixed point."""
-    if not m.is_prolongable(a):
-        raise NotProlongable(f"image of {a} does not start with {a}")
-    return m.iterate(a, n)
 
 
 def morphism_to_json(m: Morphism) -> dict:
@@ -367,16 +429,19 @@ def toeplitz_rows_word() -> WordSource:
 
 def _mix64(*values: int | np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer folded over the inputs, elementwise over uint64
-    arrays (ints are reduced mod 2^64); stateless and stable."""
+    arrays (ints are reduced mod 2^64); stateless and stable.  Works in
+    place, on one array of the broadcast shape and one scratch array."""
     golden = np.uint64(0x9E3779B97F4A7C15)
-    h = np.array([golden])
+    values = [np.uint64(v & 0xFFFFFFFFFFFFFFFF) if isinstance(v, int) else v for v in values]
+    h = np.full(np.broadcast_shapes(*map(np.shape, values)), golden)
+    shifted = np.empty_like(h)
     for v in values:
-        if isinstance(v, int):
-            v = np.uint64(v & 0xFFFFFFFFFFFFFFFF)
-        h = h + v + golden
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h = h ^ (h >> np.uint64(31))
+        h += v
+        h += golden
+        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            h ^= np.right_shift(h, np.uint64(shift), out=shifted)
+            h *= np.uint64(multiplier)
+        h ^= np.right_shift(h, np.uint64(31), out=shifted)
     return h
 
 
@@ -426,7 +491,8 @@ class ToeplitzWord:
         s = self.schedule
         if s.policy == CONSTANT:
             return np.full(np.shape(x), s.fill_letter, dtype=np.int64)
-        mixed = _mix64(s.seed, step, x, y) % np.uint64(s.alphabet_size)
+        mixed = _mix64(s.seed, step, x, y)
+        mixed %= np.uint64(s.alphabet_size)
         return mixed.astype(np.int64)
 
     def letter(self, p: Sequence[int]) -> int:
@@ -446,15 +512,21 @@ class ToeplitzWord:
         """``letter`` on uint64 coordinate arrays below 2^62."""
         zero, one = np.uint64(0), np.uint64(1)
         o = x | y
-        clear = ~o >> np.uint64(3)  # never 0: bits 59 and 60 are set
-        lowest = clear & (~clear + one)
+        clear = np.invert(o)
+        clear >>= np.uint64(3)  # never 0: bits 59 and 60 are set
+        lowest = np.invert(clear)
+        lowest += one
+        lowest &= clear
         # lowest = 2^(step - 2), whose frexp exponent is step - 1.
-        step = np.frexp(lowest.astype(np.float64))[1].astype(np.uint64) + one
-        period = lowest << np.uint64(4)
+        step = np.frexp(lowest.astype(np.float64))[1].astype(np.uint64)
+        step += one
+        mask = lowest  # the period 2^(step + 2), less one
+        mask <<= np.uint64(4)
         first = (o & np.uint64(2)) == zero
         step[first] = one
-        period[first] = np.uint64(4)
-        letters = self._choice(step, x & (period - one), y & (period - one))
+        mask[first] = np.uint64(4)
+        mask -= one
+        letters = self._choice(step, x & mask, np.bitwise_and(y, mask, out=mask))
         letters[(o & one) == zero] = self.schedule.base_letter
         return letters
 

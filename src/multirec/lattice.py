@@ -58,7 +58,7 @@ def _check_domain(p: Vector) -> None:
 # Lines whose reach bound is below this go to the line builder.
 _REACH = 1 << 62
 # Most letters one line builder call reads.
-_CALL_LETTERS = 1 << 13
+_CALL_LETTERS = 1 << 14
 
 
 class FiniteWord:
@@ -172,9 +172,12 @@ class WordSource:
     within reach, where max(starts) + max(steps) * max(max(ells), 1) < 2^62,
     so every coordinate and product a builder forms fits in int64, and it
     is the one place that splits a family into builder calls, of at most
-    ``_CALL_LETTERS`` = 2^13 letters each (larger calls cost more per
-    letter: with 2^14-letter calls the 2x2 survey ran about 30% slower on
-    a 2-vCPU x86-64 machine); callers bound only the family they ask for.
+    ``_CALL_LETTERS`` = 2^14 letters each; callers bound only the family
+    they ask for.  The morphic line walk pays about 60 small numpy calls
+    per builder call: with 2^13-letter calls the 2x2 survey ran 23% slower
+    on a 2-vCPU x86-64 machine.  With 2^15 it ran 15% faster, but a call's
+    int64 arrays then pass 128 KiB, where malloc faults in fresh pages for
+    them, and a Toeplitz grid read took about 1.5 times as long.
     Families beyond the reach, and words without a builder, are read
     pointwise through the evaluator, exact at any size.  Rotation orbits,
     morphic digit walks (m digits per table lookup), Thue-Morse parities,
@@ -214,7 +217,7 @@ class WordSource:
 
         ``multipliers`` is a count n (ell = 0, ..., n-1), a range, or a
         sequence of nonnegative ells in any order.  This is the one place
-        that picks the line builder (within reach, in calls of at most 2^13
+        that picks the line builder (within reach, in calls of at most 2^14
         letters) or pointwise reads (beyond it, or without a builder) for a
         family.
         """

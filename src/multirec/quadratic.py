@@ -223,10 +223,6 @@ class QuadExt:
         return [{"radicand": str(rad), "num": str(c.numerator), "den": str(c.denominator)}
                 for rad, c in self._coeffs.items()]
 
-    @classmethod
-    def from_json(cls, terms) -> "QuadExt":
-        return cls({int(t["radicand"]): Fraction(int(t["num"]), int(t["den"])) for t in terms})
-
 
 ZERO = QuadExt()
 ONE = QuadExt.rational(1)

@@ -105,13 +105,6 @@ def render_rows(rows: Rows, alphabet_size: int, fmt: str) -> str:
 # Fixture grids live as text files with an explicit header so a golden can
 # be eyeballed against the source it was transcribed from.
 
-def write_grid_fixture(path, rows: Rows, alphabet_size: int) -> None:
-    height, width = len(rows), len(rows[0])
-    lines = [f"dims={width}x{height} alphabet={alphabet_size}"]
-    lines += [" ".join(_cell_token(c) for c in row) for row in reversed(rows)]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def read_grid_fixture(path) -> tuple[list[list[int]], int]:
     """Rows bottom-first plus the declared alphabet size."""
     lines = path.read_text().strip().splitlines()

@@ -73,12 +73,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.components
 
-    def total_length(self) -> QuadExt:
-        out = _ZERO
-        for lo, hi in self.components:
-            out = out + (hi - lo)
-        return out
-
     def contains(self, x: QuadExt) -> bool:
         """Membership of a circle point given in [0, 1)."""
         if self.orientation == UPPER and x.is_zero():
@@ -317,10 +311,6 @@ def factor_interval_set(spec: RotationWordSpec, f: FiniteWord) -> IntervalSet:
         if out.is_empty():
             break
     return out
-
-
-def factor_occurs(spec: RotationWordSpec, f: FiniteWord) -> bool:
-    return not factor_interval_set(spec, f).is_empty()
 
 
 def occurs_at(spec: RotationWordSpec, f: FiniteWord, p: Sequence[int]) -> bool:

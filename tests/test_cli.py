@@ -391,6 +391,15 @@ def test_oversized_derives_exit_1_before_reading(capsys, no_reads, extra):
     assert "limit of 67108864 letters" in err
 
 
+def test_a_negative_derive_horizon_exits_1_naming_the_flag(capsys, no_reads):
+    code, out, err = run(capsys, "derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2",
+                         "--box", "4x4", "--horizon", "-3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "--horizon -3" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_classify_all_refuses_fewer_than_one_worker(capsys, no_reads, monkeypatch, workers):
     def no_pool(*args, **kwargs):

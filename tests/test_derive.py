@@ -11,7 +11,6 @@ from multirec.derive import (
     DerivativeWord,
     block_codes,
     decode_block,
-    decode_line,
     derivative_per_direction,
     derivative_uniform,
     directional_blocks,
@@ -21,6 +20,11 @@ from multirec.derive import (
 from multirec.errors import ReturnScanFailed
 from multirec.generators import gcd_word, preset_word, thue_morse_word
 from multirec.lattice import WordSource, iter_box, vec_scale
+
+
+def decode_line(table, codes) -> list:
+    """The directional blocks behind a sequence of return-word codes."""
+    return [block for c in codes for block in table.blocks_of(c)]
 
 
 def constant_word(letter: int = 0) -> WordSource:
@@ -78,7 +82,7 @@ def test_per_direction_constant_word_is_all_zero():
 def test_uniform_origin_is_undefined():
     dw = derivative_uniform(constant_word(), (1, 1), (5, 5), horizon=32)
     assert dw.code_at((0, 0)) == UNDEFINED
-    assert dw.distinct_codes() == {0}
+    assert set(dw.codes) - {UNDEFINED} == {0}
 
 
 def test_uniform_first_row_uses_two_codes():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multirec import generators, lattice
 from multirec.errors import InvalidInput, NotProlongable
 from multirec.generators import (
     CONSTANT,
@@ -19,7 +23,6 @@ from multirec.generators import (
     fibonacci_word,
     gcd_word,
     load_preset,
-    morphic_prefix,
     morphism_from_json,
     morphism_to_json,
     preset_word,
@@ -114,7 +117,7 @@ def test_fixed_point_requires_every_side_at_least_two():
 
 
 def test_sierpinski_square_expansion():
-    block = morphic_prefix(load_preset("sierpinski"), 1, 2)
+    block = load_preset("sierpinski").iterate(1, 2)
     assert block.size == (4, 4)
     assert [block[(x, 0)] for x in range(4)] == [1, 1, 1, 1]
     assert [block[(x, 3)] for x in range(4)] == [1, 0, 0, 0]
@@ -252,6 +255,111 @@ def test_chunked_walk_with_letters_beyond_a_uint16_table_index():
     assert line.tolist() == [m.letter_in_fixed_point(0, (x,)) for x in ells]
     assert line.tolist() == [x.bit_count() % k for x in ells]
 
+
+# ---------------------------------------------------------------------------
+# the block walk: long morphic lines read through their high lines
+
+
+def _read_with_spy(w, starts, steps, ells):
+    """letters_on_lines in one builder call, and the lengths of the lines
+    read chunk by chunk on the way."""
+    lengths = []
+    chunk_walk = Morphism._chunk_walk
+
+    def spy(self, a, starts, steps, ells):
+        lengths.append(len(ells))
+        return chunk_walk(self, a, starts, steps, ells)
+
+    with mock.patch.object(lattice, "_CALL_LETTERS", 1 << 30), \
+            mock.patch.object(Morphism, "_chunk_walk", spy):
+        return w.letters_on_lines(starts, steps, ells), lengths
+
+
+def _multiplier_orders(first: int, n: int, rng) -> dict[str, list[int]]:
+    """The multipliers first, ..., first + n - 1 in order, shuffled, and
+    shuffled with every third one repeated."""
+    ells = list(range(first, first + n))
+    repeated = ells + ells[::3]
+    rng.shuffle(repeated)
+    return {"contiguous": ells, "unsorted": rng.sample(ells, n), "duplicates": repeated}
+
+
+def _check_walk(m: Morphism, a: int, starts, steps, first: int, n: int, rng) -> None:
+    """Every order of the multipliers against letter_in_fixed_point, and
+    no line of n multipliers read chunk by chunk."""
+    w = m.fixed_point(a)
+    expected = np.array([[[m.letter_in_fixed_point(a, vec_add(p, vec_scale(q, ell)))
+                           for ell in range(first, first + n)] for q in steps] for p in starts])
+    for order, ells in _multiplier_orders(first, n, rng).items():
+        lines, chunked = _read_with_spy(w, starts, steps, ells)
+        assert max(chunked) < n, order
+        assert (lines == expected[:, :, np.array(ells) - first]).all(), order
+
+
+def _walk_threshold(m: Morphism) -> int:
+    """The fewest multipliers a line spans for the walk to split it."""
+    return generators._WALK_BLOCKS * m._chunk_table()[3]
+
+
+@given(prolongable_box_morphisms(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_block_walk_matches_pointwise_letters_on_long_lines(m, data):
+    """With a table of at most 16 cells B is at most 16, so lines of two
+    to three times the walk's threshold stay short and recurse through
+    several levels of high lines.  Starts sit near r_j, r_j^2 and, on an
+    axis the line does not move along, 2^62; the multipliers start at 0 or
+    far out."""
+    with mock.patch.object(generators, "_TABLE_CELLS", 16):
+        m.fixed_point(0).letters_along((0,) * m.dimension, (0,) * m.dimension, 1)
+    threshold = _walk_threshold(m)
+    n = data.draw(st.integers(2 * threshold, 3 * threshold), label="n")
+    first = data.draw(st.sampled_from([0, 1, 12345]) | st.integers(0, 10**12), label="first")
+    step = [data.draw(st.integers(0, 3)) for _ in m.dims]
+    top = first + n - 1
+    start = []
+    for r, q in zip(m._chunk_table()[2], step):
+        edges = [r, r * r] + ([_FAR - 3 - 3 * top] if q == 0 else [])
+        start.append(data.draw(st.integers(0, 99) | st.sampled_from(edges).flatmap(_near)))
+    assert max(start) + max(step) * top < _FAR, "the line must go to the builder"
+    _check_walk(m, 0, [start], [step], first, n, data.draw(st.randoms()))
+
+
+def test_block_walk_on_the_rectangular_preset():
+    """r = (81, 16) and B = 1296, so the high lines step by q * (16, 81)."""
+    m = load_preset("preimage-3x2")
+    n = 2 * _walk_threshold(m)
+    _check_walk(m, 1, [(80, 257)], [(2, 3), (0, 1)], 3 * 1296 + 5, n, random.Random(3))
+
+
+def test_block_walk_on_a_three_dimensional_morphism():
+    """r = (8, 27, 8) and B = 216, steps with zero components."""
+    dims = (2, 3, 2)
+    m = Morphism([FiniteWord(dims, [(b * c + c // 3) % 3 for c in range(12)])
+                  for b in (0, 2, 1)])
+    n = 2 * _walk_threshold(m)
+    _check_walk(m, 0, [(7, 730, 65), (62, 26, 0)], [(1, 1, 1), (3, 0, 2)], 1000, n,
+                random.Random(4))
+
+
+@pytest.mark.parametrize("k", [2, 20])
+def test_block_walk_on_one_dimensional_lines(k):
+    """b -> (b, b + 1 mod k) on a side of 2, whose letter at x is the binary
+    digit sum of x mod k: Thue-Morse for k = 2, and for k = 20 a table
+    index letter * 4096 above 2^16.  B = 4096, so a line of twice the
+    threshold has 2^17 multipliers; the closed form checks every letter
+    and letter_in_fixed_point a sample."""
+    m = Morphism([FiniteWord((2,), (b, (b + 1) % k)) for b in range(k)])
+    n = 2 * _walk_threshold(m)
+    starts, steps = [4095, (1 << 24) - 3], [3, 0]
+    rng = random.Random(k)
+    for order, ells in _multiplier_orders(10**9 - 7, n, rng).items():
+        lines, chunked = _read_with_spy(m.fixed_point(0), [(p,) for p in starts],
+                                        [(q,) for q in steps], ells)
+        assert max(chunked) < n, order
+        for line, (p, q) in zip(lines.reshape(-1, len(ells)), itertools.product(starts, steps)):
+            assert line.tolist() == [(p + q * ell).bit_count() % k for ell in ells], order
+            for i in rng.sample(range(len(ells)), 30):
+                assert line[i] == m.letter_in_fixed_point(0, (p + q * ells[i],))
 
 def test_prefix_nesting():
     for name in ("sierpinski", "ssurdo-3x3", "power-3x3"):

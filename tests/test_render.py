@@ -8,6 +8,7 @@ from multirec.errors import InvalidInput
 from multirec.generators import preset_word
 from multirec.lattice import FiniteWord
 from multirec.render import (
+    UNDEFINED,
     read_grid_fixture,
     render_rows,
     sample_rows,
@@ -16,10 +17,17 @@ from multirec.render import (
     to_pbm,
     to_pgm,
     to_text,
-    write_grid_fixture,
 )
 
 ROWS = [[0, 1, 2], [1, 1, 0]]  # bottom row first
+
+
+def write_grid_fixture(path, rows, alphabet_size: int) -> None:
+    """The fixture text read_grid_fixture parses: a dims/alphabet header,
+    then the rows top first, with ? for an undefined cell."""
+    lines = [f"dims={len(rows[0])}x{len(rows)} alphabet={alphabet_size}"]
+    lines += [" ".join("?" if c == UNDEFINED else str(c) for c in row) for row in reversed(rows)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_sample_rows_bottom_first():

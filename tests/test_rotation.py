@@ -19,7 +19,6 @@ from multirec.rotation import (
     IntervalSet,
     RotationWordSpec,
     factor_interval_set,
-    factor_occurs,
     occurs_at,
     rational_independence_check,
     sturmian_spec,
@@ -30,6 +29,17 @@ from multirec.rotation import (
 SQRT2 = QuadExt.sqrt(2)
 SQRT3 = QuadExt.sqrt(3)
 SQRT5 = QuadExt.sqrt(5)
+
+
+def factor_occurs(spec, f: FiniteWord) -> bool:
+    return not factor_interval_set(spec, f).is_empty()
+
+
+def total_length(s: IntervalSet) -> QuadExt:
+    out = QuadExt()
+    for lo, hi in s.components:
+        out = out + (hi - lo)
+    return out
 
 
 def test_partition_membership_respects_orientation():
@@ -45,13 +55,13 @@ def test_interval_set_rotate_back_preserves_length():
     s = IntervalSet([(QuadExt.rational(Fraction(1, 4)),
                       QuadExt.rational(Fraction(1, 2)))])
     moved = s.rotate_back(SQRT2 - 1)
-    assert moved.total_length() == s.total_length()
+    assert total_length(moved) == total_length(s)
 
 
 def test_intersection_with_full_circle_is_identity():
     s = IntervalSet([(QuadExt.rational(Fraction(1, 5)),
                       QuadExt.rational(Fraction(2, 5)))])
-    assert s.intersect(IntervalSet.full()).total_length() == s.total_length()
+    assert total_length(s.intersect(IntervalSet.full())) == total_length(s)
 
 
 def test_rational_independence_examples():

@@ -127,12 +127,14 @@ def test_sweeps_match_the_lazy_reference(name, horizon, direction_bound, size_bo
 @pytest.mark.parametrize("name", ["sturmian", "surd-not-ssurdo-2x2", "gcd-thue-morse",
                                   "toeplitz-random", "random-morphism-1"])
 def test_wide_tables_split_over_several_builder_calls(name):
-    """A horizon of 3000 over five directions is more than one builder call
-    holds, for a start and for a table."""
+    """Five directions to a horizon of about _CALL_LETTERS / 4 are more
+    than one builder call holds, for a start and for a table."""
     w = WORDS[name]()
-    budget = RecurrenceBudget(3000, 2, 2, 1)
+    horizon = lattice._CALL_LETTERS // 4
+    budget = RecurrenceBudget(horizon, 2, 2, 1)
     sizes = [(2, 1), (1, 2)]
-    assert 5 * 3001 > 1 << 13
+    assert len(enumerate_directions(2, 2)) == 5
+    assert 5 * (horizon + 1) > lattice._CALL_LETTERS
     assert check_ssurdo_empirical(w, budget, sizes) == [
         _summarize(s, reports) for s, reports in reference_sweep(w, budget, sizes, None, 1)]
 
