@@ -8,18 +8,20 @@ codes.  Coding the segments in order of first appearance gives the
 unidimensional derivative of each line; stitching the lines together over
 the lattice gives a grid, either with one code table per direction or with
 one global table (in which case the origin has no well-defined code and is
-rendered as '?').  Blocks become FiniteWords again only where a table is
-decoded for output.
+rendered as '?').  A grid reads its lines as sliced families of directions
+and keeps only the return words it codes.  Blocks become FiniteWords again
+only where a table is decoded for output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import recurrence
 from .errors import ReturnScanFailed
 from .lattice import FiniteWord, Vector, WordSource, iter_box
 from .render import UNDEFINED
@@ -77,18 +79,54 @@ def directional_blocks(
 
 
 def block_codes(
-    w: WordSource, direction: Sequence[int], size: Sequence[int], count: int
+    w: WordSource,
+    directions: Sequence[Sequence[int]],
+    size: Sequence[int],
+    count: int | range,
 ) -> np.ndarray:
-    """The codes of ``directional_blocks`` without building the blocks: one
-    Horner step per cell column, in int64 while k^cells <= 2^62 and in
-    Python ints (an object array) beyond."""
-    columns = w.letters_on_lines(list(iter_box(tuple(size))), [direction], count)[:, 0]
+    """The (len(directions), count) codes of the blocks of the given size
+    at ell*q, for each direction q and ell < count (or ell in a range): one
+    letters_on_lines read, then one Horner step per cell, in int64 while
+    k^cells <= 2^62 and in Python ints (an object array) beyond."""
+    letters = w.letters_on_lines(list(iter_box(tuple(size))), directions, count)
     k = w.alphabet_size
-    dtype = np.int64 if k ** len(columns) <= 1 << 62 else object
-    codes = np.zeros(count, dtype=dtype)
-    for column in columns[::-1]:
-        codes = codes * k + column.astype(dtype)
+    dtype = np.int64 if k ** len(letters) <= 1 << 62 else object
+    codes = np.zeros(letters.shape[1:], dtype=dtype)
+    for column in letters[::-1]:
+        codes *= k
+        codes += column.astype(dtype, copy=False)
     return codes
+
+
+def _return_words(
+    w: WordSource, size: Vector, lines: dict[Vector, int | None], horizon: int
+) -> dict[Vector, list[ReturnWordT]]:
+    """Per direction q, the first lines[q] + 1 return words along q (every
+    one within the horizon where lines[q] is None), failing at the first
+    direction of lines that has too few.  The codes are read in slices of
+    at most recurrence._SLICE_LETTERS letters (or one multiplier of a larger
+    block), cut along the multipliers, then the directions; each slice's
+    rows are cut to the words kept before the next slice is read."""
+    dirs, n, cells = list(lines), horizon + 1, math.prod(size)
+    nc = max(1, min(n, recurrence._SLICE_LETTERS // cells))
+    dc = max(1, recurrence._SLICE_LETTERS // (cells * nc))
+    per_line: dict[Vector, list[ReturnWordT]] = {}
+    for j in range(0, len(dirs), dc):
+        chunk = dirs[j:j + dc]
+        codes = np.concatenate([block_codes(w, chunk, size, range(k, min(k + nc, n)))
+                                for k in range(0, n, nc)], axis=1)
+        for q, row in zip(chunk, codes):
+            top = lines[q]
+            occ = np.flatnonzero(row == row[0])[:None if top is None else top + 2].tolist()
+            if len(occ) < 2:
+                raise ReturnScanFailed(f"prefix block of size {size} does not reappear "
+                                       f"along {q} within {horizon}")
+            if top is not None and len(occ) <= top + 1:
+                raise ReturnScanFailed(f"need {top + 1} return words along {q}, "
+                                       f"found {len(occ) - 1} within {horizon}")
+            row = row[:occ[-1]].tolist()
+            per_line[q] = [tuple(row[a:b]) for a, b in zip(occ, occ[1:])]
+    return per_line
 
 
 def return_words_along(
@@ -100,16 +138,8 @@ def return_words_along(
     """Segments between consecutive occurrences of the prefix block along
     the line, in line order, plus their first-appearance code table.
     """
-    q = tuple(direction)
-    s = tuple(size)
-    codes = block_codes(w, q, s, horizon + 1)
-    occ = np.flatnonzero(codes == codes[0]).tolist()
-    codes = codes.tolist()
-    if len(occ) < 2:
-        raise ReturnScanFailed(
-            f"prefix block of size {s} does not reappear along {q} within {horizon}"
-        )
-    segments = [tuple(codes[a:b]) for a, b in zip(occ, occ[1:])]
+    q, s = tuple(direction), tuple(size)
+    segments = _return_words(w, s, {q: None}, horizon)[q]
     return segments, CodeTable(tuple(dict.fromkeys(segments)), s, w.alphabet_size)
 
 
@@ -154,22 +184,6 @@ class DerivativeWord:
         return self._grid.to_nested()
 
 
-def _scan_lines(
-    w: WordSource, size: Vector, lines: dict[Vector, int], horizon: int
-) -> dict[Vector, list[ReturnWordT]]:
-    """Per direction, enough return segments to cover its multipliers."""
-    per_line: dict[Vector, list[ReturnWordT]] = {}
-    for q, top in lines.items():
-        segments, _ = return_words_along(w, q, size, horizon)
-        if len(segments) <= top:
-            raise ReturnScanFailed(
-                f"need {top + 1} return words along {q}, found {len(segments)} "
-                f"within {horizon}"
-            )
-        per_line[q] = segments
-    return per_line
-
-
 def _grid_codes(box: Vector, origin: int, code_at) -> tuple[int, ...]:
     """code_at(q, g) at every nonzero cell g*q of the box (q coprime), the
     origin code at the origin."""
@@ -190,11 +204,12 @@ def derivative_per_direction(
     horizon: int = 512,
 ) -> DerivativeWord:
     """Each cell ell*q gets the code of the ell-th return word along q,
-    coded per direction; the origin gets code 0.
+    coded per direction; the origin gets code 0.  The table of q holds only
+    the return words that its cells code (ell up to the box's largest).
     """
     s = tuple(size)
     box = tuple(box)
-    per_line = _scan_lines(w, s, _box_lines(box), horizon)
+    per_line = _return_words(w, s, _box_lines(box), horizon)
     tables = {
         q: CodeTable(tuple(dict.fromkeys(segs)), s, w.alphabet_size)
         for q, segs in per_line.items()
@@ -208,11 +223,10 @@ def derivative_uniform(
     size: Sequence[int],
     box: Sequence[int],
     horizon: int = 512,
-    scan_order: Iterable[Sequence[int]] | None = None,
     scan_box: Sequence[int] | None = None,
 ) -> DerivativeWord:
     """One global code table, assigned by first appearance while scanning
-    directions (lexicographic by default) and, inside each direction,
+    directions in lexicographic order and, inside each direction,
     increasing multipliers.  The origin is left undefined.
 
     The table is collected over scan_box, by default the bounding cube of
@@ -227,17 +241,8 @@ def derivative_uniform(
         scan_box = tuple(scan_box)
         if any(a < b for a, b in zip(scan_box, box)):
             raise ValueError(f"scan box {scan_box} smaller than grid box {box}")
-    lines = _box_lines(scan_box)
-    per_line = _scan_lines(w, s, lines, horizon)
-    if scan_order is None:
-        ordered = sorted(lines)
-    else:
-        ordered = [tuple(q) for q in scan_order]
-        if set(ordered) != set(lines):
-            raise ValueError("scan order must cover exactly the scanned directions")
-    order = dict.fromkeys(
-        per_line[q][ell] for q in ordered for ell in range(lines[q] + 1)
-    )
+    per_line = _return_words(w, s, _box_lines(scan_box), horizon)
+    order = dict.fromkeys(rw for q in sorted(per_line) for rw in per_line[q])
     table = CodeTable(tuple(order), s, w.alphabet_size)
     codes = _grid_codes(box, UNDEFINED, lambda q, g: table.code_of(per_line[q][g]))
     return DerivativeWord(UNIFORM, s, box, codes, {None: table})

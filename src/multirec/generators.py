@@ -185,13 +185,6 @@ class Morphism:
             raise ValueError("power must be >= 1")
         return Morphism([self.iterate(b, i) for b in range(self.alphabet_size)])
 
-    def transpose(self) -> "Morphism":
-        if self.dimension != 2:
-            raise ValueError("transpose defined for d = 2 only")
-        s1, s2 = self.dims
-        return Morphism([FiniteWord.from_function((s2, s1), lambda p, im=img: im[(p[1], p[0])])
-                         for img in self.images])
-
     def fixed_point(self, a: int, name: str | None = None) -> WordSource:
         # A side of 1 never shrinks a coordinate, so the digit walks would
         # not end; such a fixed point does not fill N^d anyway.

@@ -217,12 +217,6 @@ class QuadExt:
             parts.append(str(c) if rad == 1 else f"{c}*sqrt({rad})")
         return f"QuadExt({' + '.join(parts)})"
 
-    # ---- serialization --------------------------------------------------
-
-    def to_json(self) -> list[dict[str, str]]:
-        return [{"radicand": str(rad), "num": str(c.numerator), "den": str(c.denominator)}
-                for rad, c in self._coeffs.items()]
-
 
 ZERO = QuadExt()
 ONE = QuadExt.rational(1)

@@ -126,6 +126,7 @@ def _occurrences(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: in
 # is one letters_on_lines call: the gate alone cuts it into builder calls.
 # Sweep times did not change from 2^18 to 2^21 letters, and the peak memory
 # of large checks was least at 2^19; every 2x2 survey table is one slice.
+# derive reads a grid's block codes in slices of the same cap.
 _SLICE_LETTERS = 1 << 19
 
 

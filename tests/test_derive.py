@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from multirec import recurrence
+from multirec.cli import main, resolve_word
 from multirec.derive import (
     UNDEFINED,
     UNIFORM,
@@ -19,7 +24,7 @@ from multirec.derive import (
 )
 from multirec.errors import ReturnScanFailed
 from multirec.generators import gcd_word, preset_word, thue_morse_word
-from multirec.lattice import WordSource, iter_box, vec_scale
+from multirec.lattice import WordSource, factor_at, iter_box, vec_scale
 
 
 def decode_line(table, codes) -> list:
@@ -116,23 +121,17 @@ def test_schemes_induce_the_same_partition():
 def test_grid_is_a_bijection_of_itself_after_relabeling():
     w = preset_word("surd-not-ssurdo-2x2")
     uni = derivative_uniform(w, (1, 2), (6, 6), horizon=512)
-    relabeled = derivative_uniform(
-        w, (1, 2), (6, 6), horizon=512,
-        scan_order=sorted(_dirs((6, 6)), reverse=True),
-    )
-    assert grids_agree_up_to_bijection(uni, relabeled)
+    n = len(uni.tables[None])
+    reversed_codes = tuple(c if c == UNDEFINED else n - 1 - c for c in uni.codes)
+    merged = tuple(min(c, 1) if c != UNDEFINED else c for c in uni.codes)
+    assert reversed_codes != uni.codes and merged != uni.codes
+    assert grids_agree_up_to_bijection(
+        uni, DerivativeWord(UNIFORM, uni.size, uni.box, reversed_codes, {}))
+    assert not grids_agree_up_to_bijection(
+        uni, DerivativeWord(UNIFORM, uni.size, uni.box, merged, {}))
     assert not grids_agree_up_to_bijection(
         uni, derivative_uniform(constant_word(), (1, 1), (6, 6), horizon=32)
     )
-
-
-def _dirs(box):
-    out = set()
-    for p in iter_box(box):
-        if any(p):
-            g = math.gcd(*p)
-            out.add(tuple(c // g for c in p))
-    return out
 
 
 def test_decode_round_trip():
@@ -146,17 +145,21 @@ def test_decode_round_trip():
 
 
 @pytest.mark.parametrize("w, q, size, dtype", [
-    (preset_word("surd-not-ssurdo-2x2"), (1, 1), (1, 2), np.int64),
-    (gcd_word(thue_morse_word(), 2), (2, 1), (3, 2), np.int64),
+    (preset_word("surd-not-ssurdo-2x2"), [(1, 1)], (1, 2), np.int64),
+    (gcd_word(thue_morse_word(), 2), [(2, 1)], (3, 2), np.int64),
     # 2^62 is the largest code range kept in int64; 2^64 is not.
-    (thue_morse_word(), (1,), (62,), np.int64),
-    (thue_morse_word(), (1,), (64,), object),
+    (thue_morse_word(), [(1,)], (62,), np.int64),
+    (thue_morse_word(), [(1,)], (64,), object),
+    (preset_word("surd-not-ssurdo-2x2"), [(1, 1), (0, 1), (3, 2), (1, 0)], (2, 2), np.int64),
+    (thue_morse_word(), [(1,), (3,), (2,)], (64,), object),
 ])
 def test_block_codes_decode_to_the_directional_blocks(w, q, size, dtype):
+    """Row j of the codes of a family of directions q holds q[j]."""
     codes = block_codes(w, q, size, 40)
-    assert codes.dtype == dtype
-    assert [decode_block(c, size, w.alphabet_size) for c in codes.tolist()] == \
-        directional_blocks(w, q, size, 40)
+    assert codes.dtype == dtype and codes.shape == (len(q), 40)
+    for direction, row in zip(q, codes):
+        assert [decode_block(c, size, w.alphabet_size) for c in row.tolist()] == \
+            directional_blocks(w, direction, size, 40)
 
 
 def test_decode_round_trip_past_int64():
@@ -174,7 +177,170 @@ def test_scan_box_must_contain_the_grid():
         derivative_uniform(w, (1, 2), (4, 4), scan_box=(3, 3))
 
 
-def test_scan_order_must_cover_every_direction():
-    w = preset_word("surd-not-ssurdo-2x2")
-    with pytest.raises(ValueError):
-        derivative_uniform(w, (1, 2), (4, 4), horizon=512, scan_order=[(1, 0)])
+# The grids as they were built before directions were read as families:
+# every return word within the horizon along each direction, one line at a
+# time, read pointwise here.  The new reader keeps only the words a grid
+# codes, so its tables are prefixes of these and its codes are the same.
+
+def reference_return_words(w, q, s, horizon):
+    k = w.alphabet_size
+    codes = [sum(c * k ** i for i, c in enumerate(factor_at(w, vec_scale(q, ell), s).cells))
+             for ell in range(horizon + 1)]
+    occ = [ell for ell, c in enumerate(codes) if c == codes[0]]
+    if len(occ) < 2:
+        raise ReturnScanFailed(
+            f"prefix block of size {s} does not reappear along {q} within {horizon}")
+    return [tuple(codes[a:b]) for a, b in zip(occ, occ[1:])]
+
+
+def reference_grid(w, s, box, horizon, uniform):
+    """(codes, tables) of the grid, or the ReturnScanFailed text."""
+    lines: dict = {}
+    for p in iter_box((max(box),) * len(box) if uniform else box):
+        if any(p):
+            g = math.gcd(*p)
+            q = tuple(c // g for c in p)
+            lines[q] = max(lines.get(q, 0), g)
+    per_line = {}
+    try:
+        for q, top in lines.items():
+            segments = reference_return_words(w, q, s, horizon)
+            if len(segments) <= top:
+                raise ReturnScanFailed(f"need {top + 1} return words along {q}, "
+                                       f"found {len(segments)} within {horizon}")
+            per_line[q] = segments
+    except ReturnScanFailed as exc:
+        return str(exc)
+    if uniform:
+        table = tuple(dict.fromkeys(per_line[q][ell] for q in sorted(lines)
+                                    for ell in range(lines[q] + 1)))
+        full, tables = {q: table for q in lines}, {None: table}
+    else:
+        full = {q: tuple(dict.fromkeys(segments)) for q, segments in per_line.items()}
+        tables = {q: tuple(dict.fromkeys(per_line[q][:top + 1])) for q, top in lines.items()}
+        assert all(full[q][:len(tables[q])] == tables[q] for q in lines)
+    codes = []
+    for p in iter_box(box):
+        if not any(p):
+            codes.append(UNDEFINED if uniform else 0)
+            continue
+        g = math.gcd(*p)
+        q = tuple(c // g for c in p)
+        codes.append(full[q].index(per_line[q][g]))
+    return tuple(codes), tables
+
+
+def _no_builder(name):
+    w = resolve_word(name)
+    return WordSource(w.dimension, w.alphabet_size, w.letter, name=f"{name}, pointwise")
+
+
+# (word, block size, box, horizon)
+ORACLE_CASES = {
+    "surd-not-ssurdo-2x2": (lambda: resolve_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200),
+    "toeplitz-random-0": (lambda: resolve_word("toeplitz-random", seed=0), (2, 2), (5, 5), 200),
+    "toeplitz-random-7": (lambda: resolve_word("toeplitz-random", seed=7), (2, 1), (6, 4), 200),
+    "gcd-thue-morse": (lambda: resolve_word("gcd-thue-morse"), (1, 1), (6, 6), 64),
+    "thue-morse": (lambda: resolve_word("thue-morse"), (3,), (30,), 200),
+    "no-builder": (lambda: _no_builder("surd-not-ssurdo-2x2"), (2, 1), (5, 5), 100),
+}
+
+
+@functools.cache
+def _reference(case, uniform):
+    make, s, box, horizon = ORACLE_CASES[case]
+    return reference_grid(make(), s, box, horizon, uniform)
+
+
+@pytest.mark.parametrize("slice_lines", [None, 3, 1, 0.5])
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_grids_match_the_per_direction_reference(case, uniform, slice_lines):
+    """Both schemes against grids built line by line, with the slice cap at
+    its default, at three directions, at one, and at half a direction
+    (which cuts each direction's multipliers in two)."""
+    make, s, box, horizon = ORACLE_CASES[case]
+    w = make()
+    cap = recurrence._SLICE_LETTERS if slice_lines is None else \
+        int(slice_lines * math.prod(s) * (horizon + 1))
+    build = derivative_uniform if uniform else derivative_per_direction
+    with mock.patch.object(recurrence, "_SLICE_LETTERS", cap):
+        try:
+            dw = build(w, s, box, horizon=horizon)
+        except ReturnScanFailed as exc:
+            got = str(exc)
+        else:
+            got = dw.codes, {q: table.order for q, table in dw.tables.items()}
+        segments, table = return_words_along(w, (1,) * len(s), s, horizon)
+    assert got == _reference(case, uniform)
+    assert segments == reference_return_words(w, (1,) * len(s), s, horizon)
+    assert table.order == tuple(dict.fromkeys(segments))
+
+
+def test_oracle_cases_build_grids():
+    """Every oracle case builds both grids, so the comparison above is not
+    one of error texts."""
+    assert not [(case, uniform) for case in ORACLE_CASES for uniform in (False, True)
+                if isinstance(_reference(case, uniform), str)]
+
+
+@pytest.mark.parametrize("slice_lines", [3, 0.5])
+@pytest.mark.parametrize("uniform", [False, True])
+def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
+    """Every letters_on_lines call of a derive reads at most the slice cap,
+    and every (cell, direction, multiplier) letter is read exactly once."""
+    w, s, box, horizon = resolve_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200
+    cap = int(slice_lines * math.prod(s) * (horizon + 1))
+    reads = []
+    read = WordSource.letters_on_lines
+
+    def recorded(self, starts, steps, multipliers):
+        reads.append((list(starts), list(steps), list(range(multipliers))
+                      if isinstance(multipliers, int) else list(multipliers)))
+        return read(self, starts, steps, multipliers)
+
+    build = derivative_uniform if uniform else derivative_per_direction
+    with mock.patch.object(WordSource, "letters_on_lines", recorded), \
+            mock.patch.object(recurrence, "_SLICE_LETTERS", cap):
+        dw = build(w, s, box, horizon=horizon)
+    assert len(reads) > 1
+    assert max(len(p) * len(q) * len(e) for p, q, e in reads) <= cap
+    letters = Counter((tuple(p), tuple(q), ell) for starts, steps, ells in reads
+                      for p in starts for q in steps for ell in ells)
+    scanned = (max(box),) * 2 if uniform else box
+    lines = {tuple(c // math.gcd(*p) for c in p) for p in iter_box(scanned) if any(p)}
+    assert set(letters.values()) == {1}
+    assert set(letters) == {(p, q, ell) for p in iter_box(s) for q in lines
+                            for ell in range(horizon + 1)}
+    assert dw.codes == _reference("surd-not-ssurdo-2x2", uniform)[0]
+
+
+@pytest.mark.parametrize("argv, message, line_letters", [
+    # (1, 0) and (0, 1) come first and pass; (1, 1) has no reappearance
+    (["--word", "sierpinski", "--size", "1x1", "--box", "4x4"],
+     "prefix block of size (1, 1) does not reappear along (1, 1) within 512", 513),
+    (["--word", "sierpinski", "--size", "1x1", "--box", "4x4", "--scheme", "uniform"],
+     "prefix block of size (1, 1) does not reappear along (1, 1) within 512", 513),
+    # (1, 0) has too few return words before (1, 1) fails to reappear
+    (["--word", "sierpinski", "--size", "1x1", "--box", "4x4", "--horizon", "3"],
+     "need 4 return words along (1, 0), found 3 within 3", 4),
+    (["--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "12x8", "--horizon", "20"],
+     "need 12 return words along (1, 0), found 6 within 20", 42),
+    (["--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "12x8", "--horizon", "20",
+      "--scheme", "uniform"],
+     "need 12 return words along (1, 0), found 6 within 20", 42),
+    (["--word", "sturmian", "--size", "2x1", "--box", "15x15", "--scheme", "uniform"],
+     "prefix block of size (2, 1) does not reappear along (5, 4) within 512", 1026),
+])
+@pytest.mark.parametrize("one_line", [False, True])
+def test_the_first_failing_direction_is_named(capsys, argv, message, line_letters, one_line):
+    """The failure names the first direction of the scan order that has too
+    few return words, whether every direction is read in one slice or each
+    in its own (line_letters is one direction's cells x (horizon + 1)); the
+    texts are those of the line-by-line reader."""
+    cap = line_letters if one_line else recurrence._SLICE_LETTERS
+    with mock.patch.object(recurrence, "_SLICE_LETTERS", cap):
+        code = main(["derive", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"multirec: budget exhausted: {message}\n"

@@ -378,15 +378,6 @@ def test_power_is_iterated_composition():
         assert sq.image(b) == phi.iterate(b, 2)
 
 
-def test_transpose_swaps_axes():
-    phi = load_preset("preimage-3x2")
-    t = phi.transpose()
-    assert t.dims == (2, 3)
-    for b in (0, 1):
-        for x, y in iter_box((3, 2)):
-            assert phi.image(b)[(x, y)] == t.image(b)[(y, x)]
-
-
 def test_gcd_word_places_the_seed_along_every_direction():
     w = gcd_word(thue_morse_word(), 2)
     assert w.letter((2, 3)) == 1

@@ -86,15 +86,6 @@ def test_sign_matches_float_estimate(x):
         assert x.sign() == (1 if est > 0 else -1)
 
 
-def from_json(terms) -> QuadExt:
-    return QuadExt({int(t["radicand"]): Fraction(int(t["num"]), int(t["den"])) for t in terms})
-
-
-@given(small_quad())
-def test_json_round_trip(x):
-    assert from_json(x.to_json()) == x
-
-
 @given(rationals)
 def test_floor_agrees_with_math_floor_on_rationals(a):
     assert QuadExt.rational(a).floor() == math.floor(a)
