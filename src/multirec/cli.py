@@ -51,7 +51,8 @@ BUDGET_EXIT = 3
 _JSON_SEP = (",", ": ")
 
 # Most letters one generate or extract run, one scanned line or one ur
-# grid may read; larger reads are refused.
+# grid may read, and most residues a subgroups run may enumerate; larger
+# runs are refused.
 _MAX_LETTERS = 1 << 20
 # Most (size, origin, direction) lines one check run may scan.
 _MAX_LINES = 1 << 16
@@ -216,7 +217,11 @@ def cmd_extract(args) -> int:
     name = args.preset or args.word
     w = resolve_word(name, seed=args.seed)
     direction = parse_vector(args.dir)
+    if not any(direction):
+        raise _Usage(f"bad --dir {args.dir}, the zero vector gives no direction")
     size = parse_box(args.size)
+    if args.len < 0:
+        raise _Usage(f"bad --len {args.len}, it must be nonnegative")
     _check_read_size(f"--len {args.len} of size {args.size}", args.len * math.prod(size))
     if args.origin:
         w = translate_origin(w, parse_vector(args.origin))
@@ -340,6 +345,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_subgroups(args) -> int:
+    # s^d generators of s residues each; for s >= 2 an exponent past 20 is
+    # over the limit anyway
+    if args.s < 2 or args.d < 1 or args.s ** min(args.d + 1, 21) > _MAX_LETTERS:
+        raise _Usage(f"bad --s {args.s} --d {args.d}: need s >= 2, d >= 1 and "
+                     f"s^(d+1) within the limit of {_MAX_LETTERS}")
     fam = family_c(args.s, args.d)
     if args.json:
         payload = [

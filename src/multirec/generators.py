@@ -5,10 +5,10 @@ Morphism); the line walk reads a long line through the lines of its high
 digits, one table gather per letter, and a short one m digits per table
 lookup into the images of phi^m.  ``Morphism.iterate`` substitutes and
 walks no digits, so it is a reference for both.  Line builders are plain
-numpy kernels over a family of lines (starts x steps x multipliers,
-broadcast to one (S, D, n) array): ``WordSource.letters_on_lines`` hands
-them only nonempty families inside N^d below its 2^62 reach, in calls of
-at most 2^14 letters, and reads every other family pointwise."""
+numpy kernels over paired lines (row i of an (L, n) array holds the
+letters at starts[i] + ell * steps[i]): ``WordSource._read_lines`` hands
+them only nonempty lines inside N^d below its 2^62 reach, in calls of at
+most 2^14 letters, and reads every other line pointwise."""
 
 from __future__ import annotations
 
@@ -25,11 +25,10 @@ from .lattice import FiniteWord, Vector, WordSource
 
 
 def _uint64_line(letters_of):
-    """The line builder that hands letters_of the family's coordinates, per
-    axis the (S, D, n) uint64 array of starts[i] + ells[k] * steps[j]."""
+    """The line builder that hands letters_of the lines' coordinates, per
+    axis the (L, n) uint64 array of starts[i] + ells[k] * steps[i]."""
     return lambda starts, steps, ells: letters_of(
-        *[(s[:, None, None] + t[:, None] * ells).astype(np.uint64)
-          for s, t in zip(starts.T, steps.T)])
+        *[(s[:, None] + t[:, None] * ells).astype(np.uint64) for s, t in zip(starts.T, steps.T)])
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +58,8 @@ class Morphism:
     morphisms have all s_j equal.  Fixed points are read digit by digit
     (mixed radix s_j, most significant first) by two walks: the pure-Python
     ``letter_in_fixed_point``, exact at any coordinate size, for single
-    letters and as the tests' reference; and the numpy ``_line_evaluator``
-    for whole lines below 2^62.
+    letters and as the tests' reference; and the numpy ``_walk`` for whole
+    lines below 2^62.
 
     A fixed point of phi is also one of phi^m, so the line walk reads m
     base-s_j digits as one base-s_j^m digit, from a flat table of the
@@ -194,23 +193,14 @@ class Morphism:
             raise NotProlongable(f"image of {a} does not start with {a}")
         return WordSource(self.dimension, self.alphabet_size,
                           lambda p: self.letter_in_fixed_point(a, p),
-                          line_builder=self._line_evaluator(a),
+                          line_builder=lambda starts, steps, ells: self._walk(
+                              a, starts, steps, ells).astype(np.int64),
                           name=name or f"fixedpoint({a})")
-
-    def _line_evaluator(self, a: int):
-        """Line builder (the ``WordSource`` contract) over ``_walk``,
-        returning int64 letters."""
-
-        def lb(starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> np.ndarray:
-            return self._walk(a, starts[:, None], steps[None], ells).astype(np.int64)
-
-        return lb
 
     def _walk(self, a: int, starts: np.ndarray, steps: np.ndarray,
               ells: np.ndarray) -> np.ndarray:
-        """Letters at start + ells[k] * step along the lines whose starts
-        and steps broadcast to shape (..., d), as an array of shape
-        (..., n) and the table's dtype.
+        """Letters at starts[i] + ells[k] * steps[i] for (L, d) starts and
+        steps, as an (L, n) array of the table's dtype.
 
         With r_j = s_j^m and B = lcm(r_j), write ell = h*B + t, t < B.  The
         point p = start + ell*step has low part p mod r = (start + t*step)
@@ -232,8 +222,6 @@ class Morphism:
         span = last - first + 1
         if span < _WALK_BLOCKS or span * block > 2 * len(ells):
             return self._chunk_walk(a, starts, steps, ells)
-        shape = np.broadcast_shapes(starts.shape, steps.shape)
-        starts, steps = (np.broadcast_to(v, shape).reshape(-1, shape[-1]) for v in (starts, steps))
         # Each line at ell = first*B + t for t < B.  The walk reads up to
         # ell = (last + 1)*B - 1, past max(ells) >= 15*B by less than B, so
         # every coordinate stays below 16/15 of the gate's 2^62.
@@ -263,7 +251,7 @@ class Morphism:
         base = np.multiply(below, math.prod(radices), dtype=np.int64)
         index = np.add(np.take(base, group, axis=0).transpose(0, 2, 1), off[:, None, :])
         letters = np.take(table, index).reshape(len(starts), span * block)
-        return np.take(letters, ells - first * block, axis=1).reshape(*shape[:-1], len(ells))
+        return np.take(letters, ells - first * block, axis=1)
 
     def _chunk_walk(self, a: int, starts: np.ndarray, steps: np.ndarray,
                     ells: np.ndarray) -> np.ndarray:
@@ -277,7 +265,7 @@ class Morphism:
         # Chunk offsets into phi^m(b), least significant chunk first.
         # Floor division by a scalar is much faster than numpy's % or
         # divmod, so each digit is c - (c // r) * r.
-        coords = [starts[..., j, None] + steps[..., j, None] * ells for j in range(len(radices))]
+        coords = [starts[:, j, None] + steps[:, j, None] * ells for j in range(len(radices))]
         offsets = []
         for _ in range(max(1, *(_ndigits(top, r) for r in radices))):
             stride = 1

@@ -57,7 +57,11 @@ def _check_domain(p: Vector) -> None:
 
 # Lines whose reach bound is below this go to the line builder.
 _REACH = 1 << 62
-# Most letters one line builder call reads.
+# Most letters one line builder call reads.  The morphic walk pays about 60
+# small numpy calls per call: at 2^13 the 2x2 survey ran 23% slower on a
+# 2-vCPU x86-64 machine.  At 2^15 it ran 15% faster, but a call's int64
+# arrays pass 128 KiB, where malloc faults in fresh pages for them, and a
+# Toeplitz grid read took about 1.5 times as long.
 _CALL_LETTERS = 1 << 14
 
 
@@ -156,33 +160,26 @@ class WordSource:
     """An infinite word w: N^d -> A behind a pure evaluator.
 
     Every multi-letter read goes through ``letters_on_lines``, which reads a
-    family of lines at once and returns an int64 array; ``letters_along``
-    is its one-line case.  ``letter`` and ``factor_at`` read pointwise
-    through the evaluator; they are the exact references the batched reads
-    are tested against.  A position with a negative coordinate, and a line
-    with a negative start, step or multiplier, lies outside N^d and raises
-    InvalidInput.
+    family of starts x steps at once and returns an int64 array;
+    ``letters_along`` is its one-line case.  ``letter`` and ``factor_at``
+    read pointwise through the evaluator; they are the exact references the
+    batched reads are tested against.  A position with a negative
+    coordinate, and a line with a negative start, step or multiplier, lies
+    outside N^d and raises InvalidInput.
 
-    ``line_builder``, when given, batch-evaluates letters along a family of
-    arithmetic lines: ``line_builder(starts, steps, ells)`` takes int64
-    arrays of shapes (S, d), (D, d) and (n,) and returns the int64 array of
-    shape (S, D, n) whose entry (i, j, k) is the letter at
-    starts[i] + ells[k] * steps[j].  ``letters_on_lines`` is the one gate in
-    front of it: it calls the builder only for nonempty families inside N^d
-    within reach, where max(starts) + max(steps) * max(max(ells), 1) < 2^62,
-    so every coordinate and product a builder forms fits in int64, and it
-    is the one place that splits a family into builder calls, of at most
-    ``_CALL_LETTERS`` = 2^14 letters each; callers bound only the family
-    they ask for.  The morphic line walk pays about 60 small numpy calls
-    per builder call: with 2^13-letter calls the 2x2 survey ran 23% slower
-    on a 2-vCPU x86-64 machine.  With 2^15 it ran 15% faster, but a call's
-    int64 arrays then pass 128 KiB, where malloc faults in fresh pages for
-    them, and a Toeplitz grid read took about 1.5 times as long.
-    Families beyond the reach, and words without a builder, are read
-    pointwise through the evaluator, exact at any size.  Rotation orbits,
-    morphic digit walks (m digits per table lookup), Thue-Morse parities,
-    gcd placements and the Toeplitz filling have builders.  Evaluators must
-    be deterministic; internal memoization is allowed but invisible.
+    ``line_builder``, when given, reads letters along paired lines:
+    ``line_builder(starts, steps, ells)`` takes int64 arrays of shapes
+    (L, d), (L, d) and (n,) and returns the (L, n) int64 array whose row i
+    holds the letters at starts[i] + ell * steps[i].  ``_read_lines`` is the
+    one gate in front of it: it calls it only for lines inside N^d within
+    reach, max(starts) + max(steps) * max(max(ells), 1) < 2^62, so every
+    coordinate and product a builder forms fits in int64, and in calls of
+    at most ``_CALL_LETTERS`` = 2^14 letters; callers bound only the family
+    they ask for.  Lines beyond the reach, and words without a builder, are
+    read pointwise through the evaluator, exact at any size.  Rotation
+    orbits, morphic digit walks, Thue-Morse parities, gcd placements and
+    the Toeplitz filling have builders.  Evaluators must be deterministic;
+    internal memoization is allowed but invisible.
     """
 
     __slots__ = ("dimension", "alphabet_size", "_evaluator", "_line_builder", "name")
@@ -216,70 +213,75 @@ class WordSource:
         int64 array of shape (len(starts), len(steps), n).
 
         ``multipliers`` is a count n (ell = 0, ..., n-1), a range, or a
-        sequence of nonnegative ells in any order.  This is the one place
-        that picks the line builder (within reach, in calls of at most 2^14
-        letters) or pointwise reads (beyond it, or without a builder) for a
-        family.
+        sequence of nonnegative ells in any order.  The family is read as
+        its len(starts) * len(steps) lines, start-major, through
+        ``_read_lines``.
         """
         starts = [tuple(map(int, p)) for p in starts]
         steps = [tuple(map(int, q)) for q in steps]
         _check_dims(self.dimension, *map(len, starts), *map(len, steps))
         if isinstance(multipliers, (int, np.integer)):
             multipliers = range(int(multipliers))
+        shape = (len(starts), len(steps), len(multipliers))
+        if not math.prod(shape):
+            return np.empty(shape, dtype=np.int64)
+        try:
+            starts, steps = np.array(starts, dtype=np.int64), np.array(steps, dtype=np.int64)
+        except OverflowError:  # past int64: Python ints, read pointwise
+            starts, steps = np.array(starts, dtype=object), np.array(steps, dtype=object)
+        # start-major: each start once per step, beside the steps in turn
+        starts = np.repeat(starts, shape[1], axis=0)
+        steps = np.repeat(steps[None], shape[0], axis=0).reshape(starts.shape)
+        return self._read_lines(starts, steps, multipliers).reshape(shape)
+
+    def _read_lines(self, starts: np.ndarray, steps: np.ndarray,
+                    multipliers: range | Sequence[int]) -> np.ndarray:
+        """Letters at starts[i] + ell*steps[i], as an (L, n) int64 array, for
+        nonempty (L, d) starts and steps (int64, or Python ints in an object
+        array) and n >= 1 multipliers: the one place that refuses a line
+        leaving N^d and picks the builder or pointwise reads."""
         if isinstance(multipliers, range):
             ells = np.arange(multipliers.start, multipliers.stop, multipliers.step,
                              dtype=np.int64)
-        else:
-            ells = np.asarray(multipliers, dtype=np.int64)
-        n = len(ells)
-        if not (n and starts and steps):
-            return np.empty((len(starts), len(steps), n), dtype=np.int64)
-        if isinstance(multipliers, range):
             lo, hi = sorted((multipliers[0], multipliers[-1]))
         else:
+            ells = np.asarray(multipliers, dtype=np.int64)
             lo, hi = ells.min().item(), ells.max().item()
-        if lo < 0 or min(map(min, starts)) < 0 or min(map(min, steps)) < 0:
-            start = min(starts, key=min)
-            step = min(steps, key=min)
-            raise InvalidInput(f"the line {start} + ell*{step} for ell in "
-                               f"[{lo}, {hi}] leaves N^{self.dimension}")
+        # Python ints: exact, and cheaper than numpy reductions on a few lines
+        coords = starts.ravel().tolist(), steps.ravel().tolist()
+        if lo < 0 or min(map(min, coords)) < 0:
+            i = np.argmax((starts.min(axis=1) < 0) | (steps.min(axis=1) < 0))
+            raise InvalidInput(f"the line {tuple(starts[i].tolist())} + ell*"
+                               f"{tuple(steps[i].tolist())} for ell in [{lo}, {hi}] "
+                               f"leaves N^{self.dimension}")
         build = self._line_builder
-        if build is not None and max(map(max, starts)) + max(map(max, steps)) * max(hi, 1) < _REACH:
-            return _capped(build, np.array(starts, dtype=np.int64),
-                           np.array(steps, dtype=np.int64), ells)
+        if build is not None and max(coords[0]) + max(coords[1]) * max(hi, 1) < _REACH:
+            return _capped(build, np.asarray(starts, dtype=np.int64),
+                           np.asarray(steps, dtype=np.int64), ells)
         ells = ells.tolist()
         points = (tuple(s + t * ell for s, t in zip(p, q))
-                  for p in starts for q in steps for ell in ells)
+                  for p, q in zip(starts.tolist(), steps.tolist()) for ell in ells)
         out = np.fromiter(map(self._evaluator, points), dtype=np.int64,
-                          count=len(starts) * len(steps) * n)
-        return out.reshape(len(starts), len(steps), n)
+                          count=len(starts) * len(ells))
+        return out.reshape(len(starts), len(ells))
 
     def __repr__(self) -> str:
         return f"WordSource({self.name}, d={self.dimension}, k={self.alphabet_size})"
 
 
 def _capped(build, starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """build(starts, steps, ells) in calls of at most _CALL_LETTERS letters."""
-    shape = (len(starts), len(steps), len(ells))
+    """build(starts, steps, ells) in calls of at most _CALL_LETTERS letters:
+    min(n, _CALL_LETTERS) multipliers of as many lines as fit."""
+    shape = (len(starts), len(ells))
     if math.prod(shape) <= _CALL_LETTERS:
         return build(starts, steps, ells)
+    kn = min(shape[1], _CALL_LETTERS)
+    kl = _CALL_LETTERS // kn
     out = np.empty(shape, dtype=np.int64)
-    for i, j, k in _call_slices(shape):
-        out[i, j, k] = build(starts[i], steps[j], ells[k])
+    for i in range(0, shape[0], kl):
+        for k in range(0, shape[1], kn):
+            out[i:i + kl, k:k + kn] = build(starts[i:i + kl], steps[i:i + kl], ells[k:k + kn])
     return out
-
-
-def _call_slices(shape: tuple[int, int, int]) -> Iterator[tuple[slice, slice, slice]]:
-    """Index slices that cut a (starts, steps, multipliers) family into
-    pieces of at most _CALL_LETTERS letters, split over starts, then steps,
-    then multipliers; none for an empty family."""
-    kn = max(1, min(shape[2], _CALL_LETTERS))
-    kd = max(1, min(shape[1], _CALL_LETTERS // kn))
-    ks = max(1, min(shape[0], _CALL_LETTERS // (kd * kn)))
-    for i in range(0, shape[0], ks):
-        for j in range(0, shape[1], kd):
-            for k in range(0, shape[2], kn):
-                yield slice(i, i + ks), slice(j, j + kd), slice(k, k + kn)
 
 
 def factor_at(w: WordSource, p: Sequence[int], s: Sequence[int]) -> FiniteWord:
@@ -303,6 +305,6 @@ def translate_origin(w: WordSource, p: Sequence[int]) -> WordSource:
     _check_dims(w.dimension, len(p))
     return WordSource(w.dimension, w.alphabet_size,
                       lambda i: w.letter(vec_add(i, p)),
-                      line_builder=lambda starts, steps, ells: w.letters_on_lines(
-                          [vec_add(s, p) for s in starts.tolist()], steps.tolist(), ells),
+                      line_builder=lambda starts, steps, ells: w._read_lines(
+                          starts.astype(object) + np.array(p, dtype=object), steps, ells),
                       name=f"{w.name}@{p}")

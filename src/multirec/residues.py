@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import NotCoprime, OnLine
-from .lattice import Vector, iter_box
+from .lattice import Vector
 
 
 def _reduce(coords: Sequence[int], s: int) -> Vector:
@@ -60,18 +61,14 @@ class SubgroupFamily:
 
 def family_c(s: int, d: int) -> SubgroupFamily:
     """All distinct cyclic subgroups of (Z/sZ)^d with coprime-coordinate
-    generators, each recorded with its lexicographically least generator."""
-    seen: dict[frozenset[Vector], Vector] = {}
-    box = (s,) * d
-    for vec in iter_box(box):
-        if math.gcd(*vec) != 1:
-            continue
-        elems = frozenset(tuple(k * g % s for g in vec) for k in range(s))
-        if elems not in seen or vec < seen[elems]:
-            seen[elems] = vec
-    groups = tuple(CyclicSubgroup(s, gen, elems)
-                   for elems, gen in sorted(seen.items(), key=lambda kv: kv[1]))
-    return SubgroupFamily(s, d, groups)
+    generators, each recorded with its lexicographically least generator:
+    the generators are tried in lexicographic order and the first of each
+    subgroup is kept."""
+    seen: dict[frozenset[Vector], CyclicSubgroup] = {}
+    for vec in iter_coprime_directions(d, s - 1):
+        g = cyclic_subgroup(s, vec)
+        seen.setdefault(g.elements, g)
+    return SubgroupFamily(s, d, tuple(seen.values()))
 
 
 def bezout_coefficients(q: Sequence[int]) -> Vector:
@@ -140,6 +137,6 @@ def _is_multiple(i: Sequence[int], q: Sequence[int]) -> bool:
 def iter_coprime_directions(d: int, bound: int) -> Iterator[Vector]:
     """All coprime nonzero nonnegative vectors with max coordinate <= bound,
     in lexicographic order."""
-    for vec in sorted(iter_box((bound + 1,) * d)):
+    for vec in itertools.product(range(bound + 1), repeat=d):
         if any(vec) and math.gcd(*vec) == 1:
             yield vec

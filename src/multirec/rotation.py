@@ -252,9 +252,9 @@ class RotationWordSpec:
             # strictness at the cut is immaterial outside the guard band
             out = labels[cuts.searchsorted(x, side="right")]
             if exact.any():
-                for i, j, k in zip(*np.nonzero(exact)):
-                    p = vec_add(starts[i], vec_scale(steps[j], int(ells[k])))
-                    out[i, j, k] = self.letter(p)
+                for i, k in zip(*np.nonzero(exact)):
+                    p = vec_add(starts[i], vec_scale(steps[i], int(ells[k])))
+                    out[i, k] = self.letter(p)
             return out
 
         alphabet = max(part.labels) + 1
@@ -269,23 +269,23 @@ def _fixed(x: QuadExt) -> int:
 
 def _fixed_line(x0: Sequence[int], delta: Sequence[int], ells: np.ndarray, edges: np.ndarray,
                 spread_p: Sequence[int], spread_q: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 points (x0[i] + ell*delta[j]) mod 2^64 of shape (S, D, n) at
-    int64 ells, and the mask of those to decide exactly: within _BAND of 0
-    or of an edge (mod 2^64), or where the error bound
-    1 + spread_p[i] + ell*spread_q[j] reaches _BAND."""
+    """uint64 points (x0[i] + ell*delta[i]) mod 2^64 of shape (L, n) at
+    int64 ells, one row per line, and the mask of those to decide exactly:
+    within _BAND of 0 or of an edge (mod 2^64), or where line i's error
+    bound 1 + spread_p[i] + ell*spread_q[i] reaches _BAND."""
     step = np.array([t % _UNIT for t in delta], dtype=np.uint64)
     x = np.multiply.outer(step, ells.astype(np.uint64))
-    x = x + np.array([s % _UNIT for s in x0], dtype=np.uint64)[:, None, None]
+    x += np.array([s % _UNIT for s in x0], dtype=np.uint64)[:, None]
     band = np.uint64(2 * _BAND)
     exact = x + np.uint64(_BAND) < band
     for e in edges.tolist():
         exact |= x - np.uint64((e - _BAND) % _UNIT) < band
-    # first[i][j]: the least ell whose bound reaches _BAND, that is with
-    # ell * spread_q[j] >= slack
-    first = [[-(-slack // q) if q else _NEVER if slack else 0 for q in spread_q]
-             for slack in (max(_BAND - 1 - p, 0) for p in spread_p)]
-    if min(map(min, first)) <= ells.max():
-        exact |= ells >= np.array(first)[:, :, None]
+    # first[i]: the least ell whose bound reaches _BAND on line i, that is
+    # with ell * spread_q[i] >= slack
+    first = [-(-slack // q) if q else _NEVER if slack else 0
+             for slack, q in zip((max(_BAND - 1 - p, 0) for p in spread_p), spread_q)]
+    if min(first) <= ells.max():
+        exact |= ells >= np.array(first)[:, None]
     return x, exact
 
 
@@ -332,7 +332,7 @@ def three_gap_analysis(delta: QuadExt, interval: IntervalSet, horizon: int) -> s
     ends = np.array([e for c in interval.components for e in map(_fixed, c)
                      if e < _UNIT], dtype=np.uint64)
     ells = np.arange(horizon + 1, dtype=np.int64)
-    x, exact = (a[0, 0] for a in _fixed_line([0], [_fixed(delta)], ells, ends, [0], [1]))
+    x, exact = (a[0] for a in _fixed_line([0], [_fixed(delta)], ells, ends, [0], [1]))
     # components are disjoint and sorted, so a point is inside exactly
     # when an odd number of ends lie at or below it
     inside = np.searchsorted(ends, x, side="right") % 2 == 1

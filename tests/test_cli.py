@@ -132,6 +132,35 @@ def test_subgroups_text(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--s", "100000"], "--s 100000 --d 2"),
+    (["--s", "102"], "--s 102 --d 2"),
+    (["--s", "16", "--d", "5"], "--s 16 --d 5"),
+    (["--s", "2", "--d", "1000000000000"], "--s 2 --d 1000000000000"),
+    (["--s", "1"], "--s 1 --d 2"),
+    (["--s", "-4"], "--s -4 --d 2"),
+    (["--s", "5", "--d", "0"], "--s 5 --d 0"),
+])
+def test_subgroups_refuses_degenerate_and_oversized_families(capsys, monkeypatch, argv, flag):
+    """s < 2, d < 1 and s^(d + 1) residues above the letter limit are
+    refused before any vector is enumerated."""
+    def never(*args):
+        raise AssertionError("an enumeration started")
+
+    monkeypatch.setattr("multirec.cli.family_c", never)
+    code, out, err = run(capsys, "subgroups", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
+def test_subgroups_at_the_limit(capsys):
+    """101^3 residues are within the limit."""
+    code, out, _ = run(capsys, "subgroups", "--s", "101")
+    assert code == 0
+    assert out.splitlines()[0] == "C(101) in dimension 2: 102 subgroups"
+
+
 def test_subgroups_json(capsys):
     code, out, _ = run(capsys, "subgroups", "--s", "6", "--json")
     assert code == 0
@@ -336,6 +365,25 @@ def no_reads(monkeypatch):
     monkeypatch.setattr(WordSource, "letters_along", never)
     monkeypatch.setattr(WordSource, "letters_on_lines", never)
     monkeypatch.setattr(Morphism, "iterate", never)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--dir", "1,1", "--size", "1x2", "--len", "-3"], "--len -3"),
+    (["--dir", "0,0", "--size", "1x2", "--len", "3"], "--dir 0,0"),
+    (["--dir", "0,0", "--size", "1x2", "--len", "0"], "--dir 0,0"),
+])
+def test_extract_refuses_a_negative_len_and_a_zero_dir(capsys, no_reads, argv, flag):
+    code, out, err = run(capsys, "extract", "--preset", "surd-not-ssurdo-2x2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
+def test_extract_of_no_blocks_prints_an_empty_line(capsys):
+    code, out, _ = run(capsys, "extract", "--preset", "surd-not-ssurdo-2x2",
+                       "--dir", "1,1", "--size", "1x2", "--len", "0")
+    assert code == 0
+    assert out == "\n"
 
 
 @pytest.mark.parametrize("argv", [

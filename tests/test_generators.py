@@ -31,7 +31,7 @@ from multirec.generators import (
     toeplitz_construct,
     toeplitz_rows_word,
 )
-from multirec.lattice import FiniteWord, factor_at, iter_box, vec_add, vec_scale
+from multirec.lattice import FiniteWord, WordSource, factor_at, iter_box, vec_add, vec_scale
 from multirec.recurrence import sample_grid
 
 
@@ -360,6 +360,29 @@ def test_block_walk_on_one_dimensional_lines(k):
             assert line.tolist() == [(p + q * ell).bit_count() % k for ell in ells], order
             for i in rng.sample(range(len(ells)), 30):
                 assert line[i] == m.letter_in_fixed_point(0, (p + q * ells[i],))
+
+
+def test_a_survey_table_is_thirteen_builder_calls_of_four_lines():
+    """The 2x2 survey's table, 4 starts x 13 directions x 4001 multipliers:
+    4001 multipliers fit 4 lines into one 2^14-letter call, so its 52
+    lines go out as 13 calls of 4 whatever start they come from."""
+    w = preset_word("surd-not-ssurdo-2x2")
+    calls = []
+
+    def recorded(starts, steps, ells):
+        calls.append((len(starts), len(steps), len(ells)))
+        return w._line_builder(starts, steps, ells)
+
+    starts = list(iter_box((2, 2)))
+    steps = [q for q in itertools.product(range(5), repeat=2) if math.gcd(*q) == 1]
+    assert len(steps) == 13
+    out = WordSource(2, w.alphabet_size, w._evaluator, recorded).letters_on_lines(
+        starts, steps, 4001)
+    assert calls == [(4, 4, 4001)] * 13
+    rng = random.Random(13)
+    for i, j, ell in zip(*(rng.choices(range(n), k=200) for n in out.shape)):
+        assert out[i, j, ell] == w.letter(vec_add(starts[i], vec_scale(steps[j], ell)))
+
 
 def test_prefix_nesting():
     for name in ("sierpinski", "ssurdo-3x3", "power-3x3"):

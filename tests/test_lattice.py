@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -125,12 +126,14 @@ _REACH = 1 << 62
 
 def recording_checkerboard():
     """The checkerboard with a line builder and an evaluator that log their
-    calls: (starts, steps, ells) families as lists, and pointwise positions."""
+    calls: (starts, steps, ells) of paired lines as lists, and pointwise
+    positions."""
     lines, points = [], []
 
     def builder(starts, steps, ells):
+        assert starts.shape == steps.shape and starts.dtype == steps.dtype == np.int64
         lines.append((starts.tolist(), steps.tolist(), ells.tolist()))
-        return (starts.sum(axis=1)[:, None, None] + steps.sum(axis=1)[:, None] * ells) % 2
+        return (starts.sum(axis=1)[:, None] + steps.sum(axis=1)[:, None] * ells) % 2
 
     def evaluator(p):
         points.append(p)
@@ -232,8 +235,7 @@ def test_a_range_reads_as_its_list(multipliers):
     out = w.letters_on_lines(starts, steps, multipliers)
     assert out.tolist() == w.letters_on_lines(starts, steps, list(multipliers)).tolist()
     assert out.tolist() == _family_letters(starts, steps, multipliers)
-    assert lines[:1] == ([([list(p) for p in starts], [list(q) for q in steps],
-                           list(multipliers))] if multipliers else [])
+    assert lines[:1] == ([(*_paired(starts, steps), list(multipliers))] if multipliers else [])
 
 
 def test_a_range_through_a_negative_multiplier_raises():
@@ -247,20 +249,29 @@ def _family_letters(starts, steps, ells) -> list:
     return [[[(sum(p) + sum(q) * ell) % 2 for ell in ells] for q in steps] for p in starts]
 
 
+def _paired(starts, steps) -> tuple[list, list]:
+    """The family's lines, start-major: each start repeated once per step
+    beside the steps in turn, as lists."""
+    return [list(p) for p in starts for _ in steps], [list(q) for _ in starts for q in steps]
+
+
 def test_a_family_is_one_builder_call_indexed_start_step_multiplier():
+    """One call of the family's lines, start-major; the result is indexed
+    (start, step, multiplier)."""
     w, lines, points = recording_checkerboard()
     starts, steps, ells = [(0, 0), (1, 0), (2, 5)], [(1, 0), (1, 1)], [3, 0, 7, 1]
     out = w.letters_on_lines(starts, steps, ells)
     assert out.dtype == np.int64 and out.shape == (3, 2, 4)
     assert out.tolist() == _family_letters(starts, steps, ells)
-    assert lines == [([list(p) for p in starts], [list(q) for q in steps], ells)]
+    assert lines == [(*_paired(starts, steps), ells)]
     assert points == []
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 2), (1, 4, 9), (2, 1, 23), (3, 2, 4)])
 def test_builder_calls_stay_within_the_letter_cap(shape):
-    """With a cap of 7 letters a family is cut over starts, then steps,
-    then multipliers, and put back together in place."""
+    """With a cap of 7 letters a family's lines are cut into calls of
+    min(n, 7) multipliers of 7 // min(n, 7) lines, and put back together
+    in place: every letter is read once."""
     s_count, d_count, n = shape
     starts = [(i, 2 * i + 1) for i in range(s_count)]
     steps = [(j + 1, j) for j in range(d_count)]
@@ -268,8 +279,15 @@ def test_builder_calls_stay_within_the_letter_cap(shape):
     with mock.patch.object(lattice, "_CALL_LETTERS", 7):
         out = w.letters_on_lines(starts, steps, n)
     assert out.tolist() == _family_letters(starts, steps, range(n))
-    assert all(len(s) * len(q) * len(e) <= 7 for s, q, e in lines) and points == []
-    assert sum(len(s) * len(q) * len(e) for s, q, e in lines) == s_count * d_count * n
+    assert all(len(s) * len(e) <= 7 for s, _, e in lines) and points == []
+    count, kn = s_count * d_count, min(n, 7)
+    assert [(len(s), len(e)) for s, _, e in lines] == [
+        (min(7 // kn, count - i), min(kn, n - k))
+        for i in range(0, count, 7 // kn) for k in range(0, n, kn)]
+    read = Counter((tuple(p), tuple(q), ell) for ps, qs, ells in lines
+                   for p, q in zip(ps, qs) for ell in ells)
+    assert set(read.values()) == {1}
+    assert sorted(read) == sorted((p, q, ell) for p in starts for q in steps for ell in range(n))
 
 
 def test_a_family_reaching_2_62_is_read_pointwise():

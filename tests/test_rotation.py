@@ -192,17 +192,17 @@ def test_fixed_line_switches_to_exact_reads_where_the_error_bound_reaches_the_ba
                                            for j in (-1, 0, 1))}), dtype=np.int64)
         _, exact = _fixed_line([1 << 63], [0], ells, np.array([], dtype=np.uint64),
                                [spread_p], [spread_q])
-        assert exact[0, 0].tolist() == [1 + spread_p + ell * spread_q >= _BAND for ell in ells.tolist()]
+        assert exact[0].tolist() == [1 + spread_p + ell * spread_q >= _BAND for ell in ells.tolist()]
 
 
 def test_fixed_line_bounds_each_line_of_a_family_by_its_own_spreads():
-    spread_p, spread_q = [0, _BAND - 40, _BAND], [1, 7, 0]
+    spreads = [(p, q) for p in (0, _BAND - 40, _BAND) for q in (1, 7, 0)]
     ells = np.array([0, 5, 6, 9, 1 << 31, (1 << 34) - 2, 1 << 34], dtype=np.int64)
-    x, exact = _fixed_line([1 << 63] * 3, [0] * 3, ells, np.array([], dtype=np.uint64),
-                           spread_p, spread_q)
-    assert x.shape == exact.shape == (3, 3, len(ells))
-    assert exact.tolist() == [[[1 + p + ell * q >= _BAND for ell in ells.tolist()]
-                               for q in spread_q] for p in spread_p]
+    x, exact = _fixed_line([1 << 63] * 9, [0] * 9, ells, np.array([], dtype=np.uint64),
+                           *zip(*spreads))
+    assert x.shape == exact.shape == (9, len(ells))
+    assert exact.tolist() == [[1 + p + ell * q >= _BAND for ell in ells.tolist()]
+                              for p, q in spreads]
 
 
 def test_family_reads_put_exact_letters_on_their_own_line():
@@ -224,7 +224,7 @@ def test_fixed_orbit_stays_uint64_and_wraps_mod_2_64():
     edges = np.array([1 << 62, 3 << 62], dtype=np.uint64)
     x, exact = _fixed_line([x0], [delta], ells, edges, [0], [1])
     assert x.dtype == np.uint64
-    assert x[0, 0].tolist() == [(x0 + ell * delta) % (1 << 64) for ell in ells.tolist()]
+    assert x[0].tolist() == [(x0 + ell * delta) % (1 << 64) for ell in ells.tolist()]
     assert exact.dtype == bool
 
 
