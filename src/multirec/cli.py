@@ -237,7 +237,7 @@ def _gap_line(r) -> str:
     gap = "-" if r.max_gap is None else str(r.max_gap)
     return (
         f"dir={r.direction} size={r.size} origin={r.origin} "
-        f"occurrences={len(r.occurrences)} max-gap={gap} {r.verdict}"
+        f"occurrences={r.count} max-gap={gap} {r.verdict}"
     )
 
 

@@ -5,14 +5,16 @@ a claim about the infinite object: ``BOUNDED_WITNESSED`` records the largest
 gap seen between occurrences (counting the tail up to the horizon), and
 ``NO_RECURRENCE_IN_HORIZON`` means the prefix block was only ever seen at
 the start of the line.  ``GAP_EXCEEDS_CLAIM`` is reserved for scans run
-against a caller-supplied bound and is always a hard failure.
+against a caller-supplied bound and is always a hard failure.  A report
+keeps its occurrences as the packed bit row the scan wrote, plus their
+count and gaps; ``occurrence_indices`` returns them as a list.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import add
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,12 +61,26 @@ class RecurrenceBudget:
 
 @dataclass(frozen=True)
 class GapReport:
+    """Occurrences of the block at origin along direction: their count, the
+    largest gap between two (None below two), the horizon minus the last,
+    and the bit row, one bit per multiplier in ``np.packbits`` order."""
+
     direction: Vector
     size: Vector
     origin: Vector
-    occurrences: tuple[int, ...]
-    max_gap: int | None
+    count: int
+    internal_gap: int | None
+    tail_gap: int
     verdict: str
+    row: bytes = field(repr=False)
+
+    @property
+    def max_gap(self) -> int | None:
+        return None if self.internal_gap is None else max(self.internal_gap, self.tail_gap)
+
+    @property
+    def occurrences(self) -> tuple[int, ...]:
+        return tuple(np.unpackbits(np.frombuffer(self.row, np.uint8)).nonzero()[0].tolist())
 
     def bounded(self) -> bool:
         return self.verdict == BOUNDED_WITNESSED
@@ -112,12 +128,12 @@ def occurrence_indices(
     block occurs where every cell matches its letter at ell = 0.
     """
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
-    return _occurrences(w, tuple(direction), tuple(size), p0, horizon).tolist()
+    return _unpacked(_row(w, tuple(direction), tuple(size), p0, horizon), horizon).tolist()
 
 
-def _occurrences(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: int) -> np.ndarray:
-    """``occurrence_indices`` as an int64 array."""
-    return _unpacked(_scan(w, p0, [q], [size], 0, horizon)[0][0, 0], horizon)
+def _row(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: int) -> np.ndarray:
+    """The bit row of one block's occurrences: ``_scan`` with one report."""
+    return _scan(w, p0, [q], [size], 0, horizon)[0][0, 0]
 
 
 # Most letters one slice of a match table reads (8 bytes of int64 each,
@@ -207,26 +223,22 @@ def gap_report(
     q = tuple(direction)
     s = tuple(size)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
-    return _report(q, s, p0, _occurrences(w, q, s, p0, horizon), horizon, claim)
+    return _report(q, s, p0, _row(w, q, s, p0, horizon), horizon, claim)
 
 
-def _report(q: Vector, s: Vector, p0: Vector, occ: np.ndarray, horizon: int,
+def _report(q: Vector, s: Vector, p0: Vector, row: np.ndarray, horizon: int,
             claim: Claim) -> GapReport:
-    """The gap report of the occurrence multipliers occ."""
+    """The gap report of the occurrences set in a row of bits."""
     bound = _claim_value(claim, s)
-    if len(occ) < 2:
-        verdict = NO_RECURRENCE_IN_HORIZON
-        # A missing second occurrence refutes any claimed bound the horizon
-        # can see past.
-        if bound is not None and horizon >= bound:
-            verdict = GAP_EXCEEDS_CLAIM
-        return GapReport(q, s, p0, tuple(occ.tolist()), None, verdict)
-    # consecutive gaps, then the tail up to the horizon
-    max_gap = max((occ[1:] - occ[:-1]).max().item(), horizon - occ[-1].item())
-    verdict = BOUNDED_WITNESSED
-    if bound is not None and max_gap > bound:
+    occ = _unpacked(row, horizon)
+    internal = (occ[1:] - occ[:-1]).max().item() if len(occ) > 1 else None
+    tail = horizon - occ[-1].item() if len(occ) else horizon
+    verdict = NO_RECURRENCE_IN_HORIZON if internal is None else BOUNDED_WITNESSED
+    # Past a lone occurrence the gap is longer than the horizon: it refutes
+    # any claimed bound the horizon can see past.
+    if bound is not None and (horizon + 1 if internal is None else max(internal, tail)) > bound:
         verdict = GAP_EXCEEDS_CLAIM
-    return GapReport(q, s, p0, tuple(occ.tolist()), max_gap, verdict)
+    return GapReport(q, s, p0, len(occ), internal, tail, verdict, row.tobytes())
 
 
 def _sweep(
@@ -253,7 +265,7 @@ def _sweep(
     found = _scan(w, (0,) * d, dirs, size_list, origin_bound, budget.horizon)
     for s, bits in zip(size_list, found):
         yield s, [
-            _report(q, s, p, _unpacked(row, budget.horizon), budget.horizon, claim)
+            _report(q, s, p, row, budget.horizon, claim)
             for (p, q), row in zip(reports, bits.reshape(-1, bits.shape[-1]))
         ]
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multirec import recurrence
 from multirec.generators import (
     SEEDED_RANDOM,
     ToeplitzSchedule,
@@ -75,12 +78,37 @@ def test_gap_report_max_gap_can_be_the_tail():
     early = WordSource(1, 2, lambda p: 1 if p[0] in (0, 2, 4) else 0, name="early")
     r = gap_report(early, (1,), (1,), horizon=20)
     assert r.occurrences == (0, 2, 4)
-    assert r.max_gap == 16
+    assert (r.count, r.internal_gap, r.tail_gap, r.max_gap) == (3, 2, 16, 16)
     assert r.verdict == BOUNDED_WITNESSED
     morphic = gap_report(preset_word("sierpinski"), (1, 0), (2, 2), horizon=300)
-    for report in (r, morphic):
-        assert type(report.max_gap) is int
+    (swept,) = check_urd_empirical(beacons(3), RecurrenceBudget(20, 1, 1))
+    for report in (r, morphic, swept):
+        for value in (report.count, report.internal_gap, report.tail_gap, report.max_gap):
+            assert type(value) is int
         assert all(type(ell) is int for ell in report.occurrences)
+
+
+def test_last_occurrence_at_the_horizon_leaves_no_tail():
+    r = gap_report(beacons(3), (1,), (1,), horizon=18)
+    assert r.occurrences == (0, 3, 6, 9, 12, 15, 18)
+    assert (r.count, r.internal_gap, r.tail_gap, r.max_gap) == (7, 3, 0, 3)
+    assert gap_report(beacons(3), (1,), (1,), horizon=18, claim=3).verdict == BOUNDED_WITNESSED
+
+
+@pytest.mark.parametrize("horizon", [7, 8, 15, 16, 63, 64, 1023, 1024])
+def test_pad_bits_never_read_as_occurrences(horizon):
+    """A block that occurs at every multiplier: with horizon = 7 mod 8 the
+    row's last byte is full, with horizon = 0 mod 8 seven of its bits are
+    padding.  The sweep builds its rows from slices of 8 multipliers."""
+    ones = WordSource(1, 2, lambda p: 1, name="ones")
+    r = gap_report(ones, (1,), (1,), horizon=horizon)
+    with mock.patch.object(recurrence, "_SLICE_LETTERS", 1):
+        (swept,) = check_urd_empirical(ones, RecurrenceBudget(horizon, 1, 1))
+    for report in (r, swept):
+        assert report.occurrences == tuple(range(horizon + 1))
+        assert (report.count, report.internal_gap, report.tail_gap) == (horizon + 1, 1, 0)
+        assert len(report.row) == horizon // 8 + 1
+    assert occurrence_indices(ones, (1,), (1,), horizon=horizon) == list(range(horizon + 1))
 
 
 def test_claims_flip_the_verdict():
@@ -96,8 +124,19 @@ def test_single_occurrence_is_no_recurrence():
     r = gap_report(lonely_one(), (1,), (1,), horizon=50)
     assert r.verdict == NO_RECURRENCE_IN_HORIZON
     assert r.max_gap is None
-    assert gap_report(lonely_one(), (1,), (1,), horizon=50, claim=10).verdict \
-        == GAP_EXCEEDS_CLAIM
+    assert (r.occurrences, r.count, r.internal_gap, r.tail_gap) == ((0,), 1, None, 50)
+    for claim, verdict in ((10, GAP_EXCEEDS_CLAIM), (50, GAP_EXCEEDS_CLAIM),
+                           (51, NO_RECURRENCE_IN_HORIZON)):
+        assert gap_report(lonely_one(), (1,), (1,), horizon=50, claim=claim).verdict == verdict
+
+
+def test_gap_report_at_horizon_zero():
+    """Only ell = 0 is read: one occurrence, no gap, and a tail of 0."""
+    r = gap_report(beacons(3), (1,), (1,), horizon=0)
+    assert (r.occurrences, r.count, r.internal_gap, r.tail_gap, r.max_gap) == ((0,), 1, None, 0, None)
+    assert r.verdict == NO_RECURRENCE_IN_HORIZON
+    assert r.row == b"\x80"
+    assert gap_report(beacons(3), (1,), (1,), horizon=0, claim=1).verdict == NO_RECURRENCE_IN_HORIZON
 
 
 def test_origin_changes_the_scanned_block():
@@ -162,8 +201,13 @@ def test_ssurdo_summary_ranges_over_origins():
 
 
 def _report(n: int, max_gap: int | None, verdict: str) -> GapReport:
-    """A hand-built report; the direction (n, 1) tells reports apart."""
-    return GapReport((n, 1), (1, 1), (0, 0), (0,), max_gap, verdict)
+    """A hand-built report whose max gap is its internal gap, over a row
+    of occurrences at 0 and max_gap; the direction (n, 1) tells reports
+    apart."""
+    hits = np.zeros(64, dtype=bool)
+    hits[[0, max_gap or 0]] = True
+    return GapReport((n, 1), (1, 1), (0, 0), 1 if max_gap is None else 2, max_gap, 0, verdict,
+                     np.packbits(hits).tobytes())
 
 
 def test_summary_picks_the_first_worst_report():
@@ -238,3 +282,20 @@ def test_constant_word_is_covered_at_its_own_size():
     w = WordSource(2, 2, lambda p: 1, name="ones")
     for report in check_ur_empirical(w, RecurrenceBudget(block_bound=16)):
         assert report.window == max(report.size)
+
+
+def test_urd_sweep_memory_is_set_by_its_table_not_its_reports():
+    """Five 1x1 reports on the Sturmian word to horizon 2^18 - 1.  A
+    slice of the match table (2^19 int64 letters) peaks at about 5.9 MiB;
+    the reports add one bit per multiplier.  Keeping every occurrence as a
+    Python int took 22.5 MiB."""
+    budget = RecurrenceBudget((1 << 18) - 1, 2, 1, 1)
+    w = sturmian_spec().word()
+    tracemalloc.start()
+    try:
+        reports = check_urd_empirical(w, budget, sizes=[(1, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
+    assert len(reports) == 5 and all(len(r.row) == 1 << 15 for r in reports)

@@ -57,16 +57,27 @@ def lazy_occurrences(w, q, size, p0, horizon) -> tuple[int, ...]:
     return tuple(alive.tolist())
 
 
+def packed_row(occ, horizon) -> bytes:
+    """One bit per multiplier 0..horizon, most significant bit first, the
+    pad bits of the last byte clear."""
+    row = bytearray(horizon // 8 + 1)
+    for ell in occ:
+        row[ell // 8] |= 0x80 >> ell % 8
+    return bytes(row)
+
+
 def reference_report(w, q, size, p0, horizon, claim=None) -> GapReport:
     occ = lazy_occurrences(w, q, size, p0, horizon)
     bound = claim(size) if callable(claim) else claim
+    row, tail = packed_row(occ, horizon), horizon - occ[-1]
     if len(occ) < 2:
         refuted = bound is not None and horizon >= bound
-        return GapReport(q, size, p0, occ, None,
-                         GAP_EXCEEDS_CLAIM if refuted else NO_RECURRENCE_IN_HORIZON)
-    gap = max(b - a for a, b in zip(occ, occ[1:] + (horizon,)))
-    exceeds = bound is not None and gap > bound
-    return GapReport(q, size, p0, occ, gap, GAP_EXCEEDS_CLAIM if exceeds else BOUNDED_WITNESSED)
+        return GapReport(q, size, p0, len(occ), None, tail,
+                         GAP_EXCEEDS_CLAIM if refuted else NO_RECURRENCE_IN_HORIZON, row)
+    internal = max(b - a for a, b in zip(occ, occ[1:]))
+    exceeds = bound is not None and max(internal, tail) > bound
+    return GapReport(q, size, p0, len(occ), internal, tail,
+                     GAP_EXCEEDS_CLAIM if exceeds else BOUNDED_WITNESSED, row)
 
 
 def reference_sweep(w, budget, sizes, claim, origin_bound):
@@ -119,6 +130,8 @@ def test_sweeps_match_the_lazy_reference(name, horizon, direction_bound, size_bo
         ssurdo = check_ssurdo_empirical(w, budget, claim=claim)
     at_zero = reference_sweep(w, budget, None, claim, 0)
     assert urd == [r for _, reports in at_zero for r in reports]
+    assert [r.occurrences for r in urd] == [
+        lazy_occurrences(w, r.direction, r.size, r.origin, horizon) for r in urd]
     assert surd == [_summarize(s, reports) for s, reports in at_zero]
     assert ssurdo == [_summarize(s, reports) for s, reports in
                       reference_sweep(w, budget, None, claim, origin_bound)]
@@ -150,11 +163,15 @@ def test_gap_reports_match_the_lazy_reference(name, data):
     size = data.draw(st.tuples(*[st.integers(1, 3)] * d), label="size")
     origin = data.draw(st.tuples(*[coord] * d), label="origin")
     # far origins are read pointwise: keep their lines short
-    horizon = data.draw(st.integers(1, 30 if max(origin) > 50 else 300), label="horizon")
+    horizon = data.draw(st.integers(0, 30 if max(origin) > 50 else 300), label="horizon")
     claim = data.draw(claims, label="claim")
     expected = reference_report(w, q, size, origin, horizon, claim)
-    assert gap_report(w, q, size, origin, horizon, claim) == expected
-    assert occurrence_indices(w, q, size, origin, horizon) == list(expected.occurrences)
+    got = gap_report(w, q, size, origin, horizon, claim)
+    assert got == expected
+    assert (got.max_gap, got.verdict) == (expected.max_gap, expected.verdict)
+    occ = lazy_occurrences(w, q, size, origin, horizon)
+    assert got.occurrences == occ
+    assert occurrence_indices(w, q, size, origin, horizon) == list(occ)
 
 
 @pytest.mark.parametrize("name", ["sturmian", "sierpinski", "gcd-thue-morse", "toeplitz-random"])
