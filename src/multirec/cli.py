@@ -374,7 +374,11 @@ def cmd_derive(args) -> int:
     size = parse_box(args.size)
     box = parse_box(args.box)
     per_direction = args.scheme == "per-direction"
-    scan = parse_box(args.scan_box) if args.scan_box and not per_direction else None
+    if args.scan_box is not None and per_direction:
+        raise _Usage("--scan-box applies only to --scheme uniform")
+    scan = None if args.scan_box is None else parse_box(args.scan_box)
+    if scan is not None and len(scan) != len(box):
+        raise _Usage(f"--scan-box {args.scan_box} and --box {args.box} differ in dimension")
     if args.horizon < 0:
         raise _Usage(f"bad --horizon {args.horizon}, it must be nonnegative")
     # the box whose lines are read, at most one line per cell

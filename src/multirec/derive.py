@@ -15,15 +15,15 @@ only where a table is decoded for output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import recurrence
 from .errors import ReturnScanFailed
-from .lattice import FiniteWord, Vector, WordSource, iter_box
+from .lattice import FiniteWord, Vector, WordSource, check_scan, iter_box, read_slices
 from .render import UNDEFINED
 
 PER_DIRECTION = "PER_DIRECTION"
@@ -103,18 +103,15 @@ def _return_words(
 ) -> dict[Vector, list[ReturnWordT]]:
     """Per direction q, the first lines[q] + 1 return words along q (every
     one within the horizon where lines[q] is None), failing at the first
-    direction of lines that has too few.  The codes are read in slices of
-    at most recurrence._SLICE_LETTERS letters (or one multiplier of a larger
-    block), cut along the multipliers, then the directions; each slice's
-    rows are cut to the words kept before the next slice is read."""
-    dirs, n, cells = list(lines), horizon + 1, math.prod(size)
-    nc = max(1, min(n, recurrence._SLICE_LETTERS // cells))
-    dc = max(1, recurrence._SLICE_LETTERS // (cells * nc))
+    direction of lines that has too few.  The codes are read in the slices
+    ``read_slices`` cuts, a block's cells per line; each group of
+    directions is cut to the words kept before the next is read."""
+    dirs, n = list(lines), horizon + 1
+    check_scan(dirs, [size], horizon)
     per_line: dict[Vector, list[ReturnWordT]] = {}
-    for j in range(0, len(dirs), dc):
-        chunk = dirs[j:j + dc]
-        codes = np.concatenate([block_codes(w, chunk, size, range(k, min(k + nc, n)))
-                                for k in range(0, n, nc)], axis=1)
+    for js, group in itertools.groupby(read_slices(len(dirs), n, math.prod(size)), lambda p: p[0]):
+        chunk = dirs[js]
+        codes = np.concatenate([block_codes(w, chunk, size, range(n)[ks]) for _, ks in group], 1)
         for q, row in zip(chunk, codes):
             top = lines[q]
             occ = np.flatnonzero(row == row[0])[:None if top is None else top + 2].tolist()
@@ -239,8 +236,8 @@ def derivative_uniform(
         scan_box = (max(box),) * len(box)
     else:
         scan_box = tuple(scan_box)
-        if any(a < b for a, b in zip(scan_box, box)):
-            raise ValueError(f"scan box {scan_box} smaller than grid box {box}")
+        if len(scan_box) != len(box) or any(a < b for a, b in zip(scan_box, box)):
+            raise ValueError(f"scan box {scan_box} does not contain grid box {box}")
     per_line = _return_words(w, s, _box_lines(scan_box), horizon)
     order = dict.fromkeys(rw for q in sorted(per_line) for rw in per_line[q])
     table = CodeTable(tuple(order), s, w.alphabet_size)

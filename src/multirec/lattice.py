@@ -45,6 +45,29 @@ def normalize_direction(raw: Sequence[int]) -> Vector:
     return tuple(c // g for c in coords)
 
 
+def check_scan(directions: Sequence[Vector], sizes: Sequence[Vector], horizon: int) -> None:
+    """Refuse a scan that mixes dimensions or would read nothing meaningful."""
+    _check_dims(*map(len, directions), *map(len, sizes))
+    if horizon < 0 or any(c < 1 for s in sizes for c in s):
+        raise InvalidInput(f"a scan needs horizon >= 0 and sides >= 1, not {horizon}, {sizes}")
+    if not all(map(any, directions)):
+        raise DegenerateDirection("a scan direction is all zeros")
+
+
+def read_slices(rows: int, n: int, per: int, align: int = 1,
+                cap: int | None = None) -> Iterator[tuple[slice, slice]]:
+    """(row slice, multiplier slice) pieces, row-major, of rows x n >= 1
+    multipliers at per >= 1 letters each: a row's multipliers while it fits
+    in cap letters (by default _SLICE_LETTERS), else at least align and a
+    multiple of align of them, then as many rows as fit."""
+    cap = _SLICE_LETTERS if cap is None else cap
+    nc = n if per * n <= cap else max(align, cap // per // align * align)
+    rc = max(1, cap // (per * nc))
+    for i in range(0, rows, rc):
+        for k in range(0, n, nc):
+            yield slice(i, min(i + rc, rows)), slice(k, min(k + nc, n))
+
+
 def _check_dims(*lengths: int) -> None:
     if len(set(lengths)) != 1:
         raise DimensionError(f"mixed dimensions: {lengths}")
@@ -63,6 +86,10 @@ _REACH = 1 << 62
 # arrays pass 128 KiB, where malloc faults in fresh pages for them, and a
 # Toeplitz grid read took about 1.5 times as long.
 _CALL_LETTERS = 1 << 14
+# Most letters one read of a sweep's match table or of derive's block codes
+# takes; the gate cuts each into builder calls.  Sweep times did not change
+# from 2^18 to 2^21 letters, and large checks peaked lowest in memory at 2^19.
+_SLICE_LETTERS = 1 << 19
 
 
 class FiniteWord:
@@ -235,17 +262,15 @@ class WordSource:
         return self._read_lines(starts, steps, multipliers).reshape(shape)
 
     def _read_lines(self, starts: np.ndarray, steps: np.ndarray,
-                    multipliers: range | Sequence[int]) -> np.ndarray:
+                    ells: range | Sequence[int]) -> np.ndarray:
         """Letters at starts[i] + ell*steps[i], as an (L, n) int64 array, for
         nonempty (L, d) starts and steps (int64, or Python ints in an object
         array) and n >= 1 multipliers: the one place that refuses a line
         leaving N^d and picks the builder or pointwise reads."""
-        if isinstance(multipliers, range):
-            ells = np.arange(multipliers.start, multipliers.stop, multipliers.step,
-                             dtype=np.int64)
-            lo, hi = sorted((multipliers[0], multipliers[-1]))
+        if isinstance(ells, range):
+            lo, hi = sorted((ells[0], ells[-1]))
         else:
-            ells = np.asarray(multipliers, dtype=np.int64)
+            ells = np.asarray(ells, dtype=np.int64)
             lo, hi = ells.min().item(), ells.max().item()
         # Python ints: exact, and cheaper than numpy reductions on a few lines
         coords = starts.ravel().tolist(), steps.ravel().tolist()
@@ -258,7 +283,7 @@ class WordSource:
         if build is not None and max(coords[0]) + max(coords[1]) * max(hi, 1) < _REACH:
             return _capped(build, np.asarray(starts, dtype=np.int64),
                            np.asarray(steps, dtype=np.int64), ells)
-        ells = ells.tolist()
+        ells = list(map(int, ells))
         points = (tuple(s + t * ell for s, t in zip(p, q))
                   for p, q in zip(starts.tolist(), steps.tolist()) for ell in ells)
         out = np.fromiter(map(self._evaluator, points), dtype=np.int64,
@@ -269,19 +294,23 @@ class WordSource:
         return f"WordSource({self.name}, d={self.dimension}, k={self.alphabet_size})"
 
 
-def _capped(build, starts: np.ndarray, steps: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """build(starts, steps, ells) in calls of at most _CALL_LETTERS letters:
-    min(n, _CALL_LETTERS) multipliers of as many lines as fit."""
+def _capped(build, starts: np.ndarray, steps: np.ndarray,
+            ells: range | np.ndarray) -> np.ndarray:
+    """build(starts, steps, ells) in calls of at most _CALL_LETTERS letters,
+    cut by ``read_slices``.  A range becomes int64 one call at a time: a whole
+    slice of it beside the output made glibc trim and refault pages per slice."""
     shape = (len(starts), len(ells))
     if math.prod(shape) <= _CALL_LETTERS:
-        return build(starts, steps, ells)
-    kn = min(shape[1], _CALL_LETTERS)
-    kl = _CALL_LETTERS // kn
+        return build(starts, steps, _int64(ells))
     out = np.empty(shape, dtype=np.int64)
-    for i in range(0, shape[0], kl):
-        for k in range(0, shape[1], kn):
-            out[i:i + kl, k:k + kn] = build(starts[i:i + kl], steps[i:i + kl], ells[k:k + kn])
+    for rs, ks in read_slices(*shape, 1, cap=_CALL_LETTERS):
+        out[rs, ks] = build(starts[rs], steps[rs], _int64(ells[ks]))
     return out
+
+
+def _int64(ells: range | np.ndarray) -> np.ndarray:
+    return (np.arange(ells.start, ells.stop, ells.step, dtype=np.int64)
+            if isinstance(ells, range) else ells)
 
 
 def factor_at(w: WordSource, p: Sequence[int], s: Sequence[int]) -> FiniteWord:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Vector, WordSource, iter_box
+from .lattice import Vector, WordSource, check_scan, iter_box, read_slices
 from .residues import iter_coprime_directions
 
 BOUNDED_WITNESSED = "BOUNDED_WITNESSED"
@@ -136,16 +136,6 @@ def _row(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: int) -> np
     return _scan(w, p0, [q], [size], 0, horizon)[0][0, 0]
 
 
-# Most letters one slice of a match table reads (8 bytes of int64 each,
-# plus a byte of table); a larger table is read and ANDed one slice at a
-# time, cut along the multipliers, then along the directions.  Each slice
-# is one letters_on_lines call: the gate alone cuts it into builder calls.
-# Sweep times did not change from 2^18 to 2^21 letters, and the peak memory
-# of large checks was least at 2^19; every 2x2 survey table is one slice.
-# derive reads a grid's block codes in slices of the same cap.
-_SLICE_LETTERS = 1 << 19
-
-
 def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector],
           origin_bound: int, horizon: int) -> list[np.ndarray]:
     """found[i][a, j]: the multipliers ell <= horizon at which the block of
@@ -156,49 +146,40 @@ def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector]
     Every line from a start in corner + [0, origin_bound + max size)^d is
     read once, into a bool match table of "letter == letter at ell = 0",
     and a block occurs where the table's views at its cells all hold.  The
-    table is read in slices of at most _SLICE_LETTERS letters, each one
-    letters_on_lines call taking every multiplier or a multiple of 8 of
-    them (a byte of the bit rows), and every size ANDs each slice before
-    the next is read.  So memory stays within a slice's letters and table
-    plus one bit per (size, report, multiplier).
+    table is read in the slices ``read_slices`` cuts, whole bytes of the
+    bit rows each, and every size ANDs a slice before the next is read, so
+    memory stays within a slice plus one bit per (size, report, multiplier).
     """
-    n = max(horizon + 1, 0)
+    check_scan(dirs, sizes, horizon)
+    n = horizon + 1
     extent = tuple(origin_bound + max(c) for c in zip(*sizes))
     starts = list(itertools.product(*map(range, corner, map(add, corner, extent))))
     span = (origin_bound + 1,) * len(corner)
     origins = span[0] ** len(span)
-    per_start = _SLICE_LETTERS // max(1, len(starts))
-    per_line = per_start // len(dirs)
-    nc = max(n, 1) if per_line >= n else max(8, per_line // 8 * 8)
-    dc = max(1, min(len(dirs), per_start // nc))
     found = [np.zeros((origins, len(dirs), -(-n // 8)), dtype=np.uint8) for _ in sizes]
-    for k in range(0, max(n, 1), nc):
-        for j in range(0, len(dirs), dc):
-            letters = w.letters_on_lines(starts, dirs[j:j + dc], range(k, min(k + nc, n)))
-            if k == j == 0:
-                ref = letters[:, :1, :1].copy()
-            rows = letters.shape[1:]
-            table = (letters == ref).reshape(extent + rows)
-            del letters
-            for bits, s in zip(found, sizes):
-                mask = _and_cells(table, s, span).reshape((origins,) + rows)
-                packed = np.packbits(mask, axis=-1)
-                bits[:, j:j + rows[0], k // 8:k // 8 + packed.shape[-1]] = packed
+    for js, ks in read_slices(len(dirs), n, len(starts), align=8):
+        letters = w.letters_on_lines(starts, dirs[js], range(n)[ks])
+        if js.start == ks.start == 0:
+            ref = letters[:, :1, :1].copy()
+        rows = letters.shape[1:]
+        table = (letters == ref).reshape(extent + rows)
+        del letters
+        for bits, s in zip(found, sizes):
+            mask = _and_cells(table, s, span).reshape((origins,) + rows)
+            bits[:, js, ks.start // 8:-(-ks.stop // 8)] = np.packbits(mask, axis=-1)
     return found
 
 
 def _unpacked(bits: np.ndarray, horizon: int) -> np.ndarray:
     """The multipliers ell <= horizon set in a row of bits, as int64."""
-    return np.unpackbits(bits, count=max(horizon + 1, 0)).nonzero()[0]
+    return np.unpackbits(bits, count=horizon + 1).nonzero()[0]
 
 
 def _and_cells(table: np.ndarray, size: Vector, origins: Vector) -> np.ndarray:
     """The AND of the table's views at every cell offset of the block."""
     views = [table[tuple(map(slice, cell, map(add, cell, origins)))]
              for cell in itertools.product(*map(range, size))]
-    if len(views) < 2:
-        return views[0] if views else np.ones(origins + table.shape[len(origins):], dtype=bool)
-    mask = views[0] & views[1]
+    mask = views[0] if len(views) == 1 else views[0] & views[1]
     for view in views[2:]:
         mask &= view
     return mask
@@ -232,7 +213,7 @@ def _report(q: Vector, s: Vector, p0: Vector, row: np.ndarray, horizon: int,
     bound = _claim_value(claim, s)
     occ = _unpacked(row, horizon)
     internal = (occ[1:] - occ[:-1]).max().item() if len(occ) > 1 else None
-    tail = horizon - occ[-1].item() if len(occ) else horizon
+    tail = horizon - occ[-1].item()
     verdict = NO_RECURRENCE_IN_HORIZON if internal is None else BOUNDED_WITNESSED
     # Past a lone occurrence the gap is longer than the horizon: it refutes
     # any claimed bound the horizon can see past.

@@ -15,6 +15,7 @@ bound reaches _GUARD, are decided with exact QuadExt arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -24,13 +25,10 @@ import numpy as np
 
 from .errors import EmptyVisit, NotFound
 from .lattice import FiniteWord, Vector, WordSource, vec_add, vec_scale
-from .quadratic import QuadExt
+from .quadratic import ONE, ZERO, QuadExt
 
 LOWER = "lower"   # intervals [a, b), partition of [0, 1)
 UPPER = "upper"   # intervals (a, b], partition of (0, 1]
-
-_ZERO = QuadExt()
-_ONE = QuadExt.rational(1)
 
 _UNIT = 1 << 64
 _GUARD = 2.0 ** -30
@@ -68,7 +66,7 @@ class IntervalSet:
 
     @classmethod
     def full(cls, orientation: str = LOWER) -> "IntervalSet":
-        return cls([(_ZERO, _ONE)], orientation)
+        return cls([(ZERO, ONE)], orientation)
 
     def is_empty(self) -> bool:
         return not self.components
@@ -76,7 +74,7 @@ class IntervalSet:
     def contains(self, x: QuadExt) -> bool:
         """Membership of a circle point given in [0, 1)."""
         if self.orientation == UPPER and x.is_zero():
-            x = _ONE
+            x = ONE
         for lo, hi in self.components:
             c_lo = x.compare(lo)
             if (c_lo >= 0 if self.orientation == LOWER else c_lo > 0):
@@ -92,11 +90,11 @@ class IntervalSet:
             length = hi - lo
             start = (lo - delta).mod1()
             end = start + length
-            if end.compare(_ONE) <= 0:
+            if end.compare(ONE) <= 0:
                 out.append((start, end))
             else:
-                out.append((start, _ONE))
-                out.append((_ZERO, end - 1))
+                out.append((start, ONE))
+                out.append((ZERO, end - 1))
         return IntervalSet(out, self.orientation)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -125,7 +123,7 @@ class IntervalPartition:
                  orientation: str = LOWER):
         cuts = tuple(_as_qext(c) for c in cuts)
         for c in cuts:
-            if not (_ZERO.compare(c) < 0 and c.compare(_ONE) < 0):
+            if not (ZERO.compare(c) < 0 and c.compare(ONE) < 0):
                 raise ValueError("interior cuts must lie strictly inside (0, 1)")
         for a, b in zip(cuts, cuts[1:]):
             if a.compare(b) >= 0:
@@ -150,7 +148,7 @@ class IntervalPartition:
         return len(self.labels)
 
     def bounds(self, index: int) -> tuple[QuadExt, QuadExt]:
-        ends = (_ZERO, *self.cuts, _ONE)
+        ends = (ZERO, *self.cuts, ONE)
         return ends[index], ends[index + 1]
 
     def cell(self, label: int) -> IntervalSet:
@@ -158,7 +156,7 @@ class IntervalPartition:
         return IntervalSet([self.bounds(index)], self.orientation)
 
     def min_cell_length(self) -> QuadExt:
-        ends = (_ZERO, *self.cuts, _ONE)
+        ends = (ZERO, *self.cuts, ONE)
         best = None
         for a, b in zip(ends, ends[1:]):
             length = b - a
@@ -169,7 +167,7 @@ class IntervalPartition:
     def letter_at(self, x: QuadExt) -> int:
         """Label of the cell containing the circle point x (given in [0,1))."""
         if self.orientation == UPPER and x.is_zero():
-            x = _ONE
+            x = ONE
         for index, cut in enumerate(self.cuts):
             c = x.compare(cut)
             if c < 0 or (self.orientation == UPPER and c == 0):
@@ -231,7 +229,7 @@ class RotationWordSpec:
 
     def angle_along(self, q: Sequence[int]) -> QuadExt:
         """Rotation step of the directional word along q: (q . alpha) mod 1."""
-        total = _ZERO
+        total = ZERO
         for c, a in zip(q, self.alpha, strict=True):
             total = total + a * c
         return total.mod1()
@@ -295,7 +293,7 @@ def sturmian_spec(labels: Sequence[int] | None = None) -> RotationWordSpec:
     a1 = QuadExt.sqrt(2) - 1
     a2 = QuadExt.sqrt(3) - 1
     part = IntervalPartition([a1], labels=labels)
-    return RotationWordSpec((a1, a2), _ZERO, part)
+    return RotationWordSpec((a1, a2), ZERO, part)
 
 
 def factor_interval_set(spec: RotationWordSpec, f: FiniteWord) -> IntervalSet:
@@ -304,7 +302,7 @@ def factor_interval_set(spec: RotationWordSpec, f: FiniteWord) -> IntervalSet:
     out = IntervalSet.full(spec.partition.orientation)
     for i in f.positions():
         cell = spec.partition.cell(f[i])
-        shift = _ZERO
+        shift = ZERO
         for c, a in zip(i, spec.alpha, strict=True):
             shift = shift + a * c
         out = out.intersect(cell.rotate_back(shift.mod1()))
@@ -353,11 +351,10 @@ def surd_failure_direction(spec: RotationWordSpec, n: int,
     least n; witnesses that one gap bound cannot serve all directions."""
     if n < 1:
         raise ValueError("run length must be positive")
-    import math as _math
     min_len = spec.partition.min_cell_length()
     threshold = min_len / n
     for q1 in range(1, search_cap + 1):
-        if _math.gcd(q1, n) != 1:
+        if math.gcd(q1, n) != 1:
             continue
         q = (q1,) + (n,) * (spec.dimension - 1)
         delta = spec.angle_along(q)

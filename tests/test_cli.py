@@ -448,6 +448,18 @@ def test_a_negative_derive_horizon_exits_1_naming_the_flag(capsys, no_reads):
     assert "--horizon -3" in err
 
 
+@pytest.mark.parametrize("extra, flags", [
+    (["--box", "4x3", "--scan-box", "garbage"], ["--scan-box", "--scheme uniform"]),
+    (["--box", "4x3", "--scheme", "uniform", "--scan-box", "5"], ["--scan-box 5", "--box 4x3"]),
+], ids=["per-direction", "dimension"])
+def test_derive_refuses_a_scan_box_it_cannot_use(capsys, no_reads, extra, flags):
+    code, out, err = run(capsys, "derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert all(flag in err for flag in flags)
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_classify_all_refuses_fewer_than_one_worker(capsys, no_reads, monkeypatch, workers):
     def no_pool(*args, **kwargs):

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from multirec import recurrence
+from multirec import lattice
 from multirec.cli import main, resolve_word
 from multirec.derive import (
     UNDEFINED,
@@ -22,7 +22,7 @@ from multirec.derive import (
     grids_agree_up_to_bijection,
     return_words_along,
 )
-from multirec.errors import ReturnScanFailed
+from multirec.errors import DegenerateDirection, InvalidInput, ReturnScanFailed
 from multirec.generators import gcd_word, preset_word, thue_morse_word
 from multirec.lattice import WordSource, factor_at, iter_box, vec_scale
 
@@ -175,6 +175,23 @@ def test_scan_box_must_contain_the_grid():
     w = preset_word("surd-not-ssurdo-2x2")
     with pytest.raises(ValueError):
         derivative_uniform(w, (1, 2), (4, 4), scan_box=(3, 3))
+    with pytest.raises(ValueError, match="does not contain"):
+        derivative_uniform(w, (1, 2), (4, 4), scan_box=(5,))
+
+
+@pytest.mark.parametrize("derive, error", [
+    (lambda w: return_words_along(w, (0, 0), (1, 1), 20), DegenerateDirection),
+    (lambda w: return_words_along(w, (1, 0), (0, 2), 20), InvalidInput),
+    (lambda w: return_words_along(w, (1, 0), (1, 2), -1), InvalidInput),
+    (lambda w: derivative_per_direction(w, (2, 0), (3, 3)), InvalidInput),
+    (lambda w: derivative_uniform(w, (1, 2), (3, 3), horizon=-5), InvalidInput),
+], ids=["zero-direction", "zero-side", "negative-horizon", "grid-zero-side",
+        "grid-negative-horizon"])
+def test_return_words_refuse_inputs_before_reading(derive, error):
+    w = preset_word("surd-not-ssurdo-2x2")
+    with mock.patch.object(WordSource, "letters_on_lines",
+                           side_effect=AssertionError("read")), pytest.raises(error):
+        derive(w)
 
 
 # The grids as they were built before directions were read as families:
@@ -261,10 +278,10 @@ def test_grids_match_the_per_direction_reference(case, uniform, slice_lines):
     (which cuts each direction's multipliers in two)."""
     make, s, box, horizon = ORACLE_CASES[case]
     w = make()
-    cap = recurrence._SLICE_LETTERS if slice_lines is None else \
+    cap = lattice._SLICE_LETTERS if slice_lines is None else \
         int(slice_lines * math.prod(s) * (horizon + 1))
     build = derivative_uniform if uniform else derivative_per_direction
-    with mock.patch.object(recurrence, "_SLICE_LETTERS", cap):
+    with mock.patch.object(lattice, "_SLICE_LETTERS", cap):
         try:
             dw = build(w, s, box, horizon=horizon)
         except ReturnScanFailed as exc:
@@ -301,7 +318,7 @@ def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
 
     build = derivative_uniform if uniform else derivative_per_direction
     with mock.patch.object(WordSource, "letters_on_lines", recorded), \
-            mock.patch.object(recurrence, "_SLICE_LETTERS", cap):
+            mock.patch.object(lattice, "_SLICE_LETTERS", cap):
         dw = build(w, s, box, horizon=horizon)
     assert len(reads) > 1
     assert max(len(p) * len(q) * len(e) for p, q, e in reads) <= cap
@@ -338,8 +355,8 @@ def test_the_first_failing_direction_is_named(capsys, argv, message, line_letter
     few return words, whether every direction is read in one slice or each
     in its own (line_letters is one direction's cells x (horizon + 1)); the
     texts are those of the line-by-line reader."""
-    cap = line_letters if one_line else recurrence._SLICE_LETTERS
-    with mock.patch.object(recurrence, "_SLICE_LETTERS", cap):
+    cap = line_letters if one_line else lattice._SLICE_LETTERS
+    with mock.patch.object(lattice, "_SLICE_LETTERS", cap):
         code = main(["derive", *argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")

@@ -18,6 +18,7 @@ from multirec.lattice import (
     factor_at,
     iter_box,
     normalize_direction,
+    read_slices,
     translate_origin,
     vec_add,
     vec_scale,
@@ -288,6 +289,23 @@ def test_builder_calls_stay_within_the_letter_cap(shape):
                    for p, q in zip(ps, qs) for ell in ells)
     assert set(read.values()) == {1}
     assert sorted(read) == sorted((p, q, ell) for p in starts for q in steps for ell in range(n))
+
+
+@given(rows=st.integers(0, 12), n=st.integers(1, 60), per=st.integers(1, 20),
+       cap=st.integers(1, 400), align=st.sampled_from([1, 8]))
+def test_read_slices_cover_the_family_once_within_the_cap(rows, n, per, cap, align):
+    """Every (row, multiplier) is in one piece, in row-major order; a piece
+    reads at most cap letters unless align multipliers of one row already
+    pass it; every multiplier range starts at a multiple of align."""
+    pieces = [(range(rows)[rs], range(n)[ks])
+              for rs, ks in read_slices(rows, n, per, align=align, cap=cap)]
+    assert [(i, k) for rr, kr in pieces for i in rr for k in kr] == \
+        [(i, k) for i in range(rows) for k in range(n)]
+    for rr, kr in pieces:
+        assert len(rr) and len(kr)
+        assert per * len(rr) * len(kr) <= cap or (
+            per * align > cap and len(rr) == 1 and len(kr) <= align)
+        assert kr.start % align == 0
 
 
 def test_a_family_reaching_2_62_is_read_pointwise():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multirec import recurrence
+from multirec import lattice
+from multirec.errors import DegenerateDirection, DimensionError, InvalidInput
 from multirec.generators import (
     SEEDED_RANDOM,
     ToeplitzSchedule,
@@ -102,7 +103,7 @@ def test_pad_bits_never_read_as_occurrences(horizon):
     padding.  The sweep builds its rows from slices of 8 multipliers."""
     ones = WordSource(1, 2, lambda p: 1, name="ones")
     r = gap_report(ones, (1,), (1,), horizon=horizon)
-    with mock.patch.object(recurrence, "_SLICE_LETTERS", 1):
+    with mock.patch.object(lattice, "_SLICE_LETTERS", 1):
         (swept,) = check_urd_empirical(ones, RecurrenceBudget(horizon, 1, 1))
     for report in (r, swept):
         assert report.occurrences == tuple(range(horizon + 1))
@@ -137,6 +138,27 @@ def test_gap_report_at_horizon_zero():
     assert r.verdict == NO_RECURRENCE_IN_HORIZON
     assert r.row == b"\x80"
     assert gap_report(beacons(3), (1,), (1,), horizon=0, claim=1).verdict == NO_RECURRENCE_IN_HORIZON
+
+
+@pytest.mark.parametrize("scan, error", [
+    (lambda: gap_report(beacons(3), (1,), (1,), horizon=-1), InvalidInput),
+    (lambda: occurrence_indices(beacons(3), (1,), (1,), horizon=-2), InvalidInput),
+    (lambda: gap_report(preset_word("sierpinski"), (0, 0), (1, 1), horizon=20),
+     DegenerateDirection),
+    (lambda: gap_report(preset_word("sierpinski"), (1, 0), (0, 1), horizon=20), InvalidInput),
+    (lambda: check_surd_empirical(preset_word("sierpinski"), RecurrenceBudget(20, 2),
+                                  sizes=[(0, 2)]), InvalidInput),
+    (lambda: gap_report(preset_word("sierpinski"), (1, 0), (1, 2, 3), horizon=5),
+     DimensionError),
+], ids=["negative-horizon", "negative-horizon-indices", "zero-direction", "zero-side",
+        "zero-side-sweep", "mixed-dimensions"])
+def test_scans_refuse_inputs_before_reading(scan, error):
+    """A negative horizon, a block side of 0 and the zero direction have no
+    occurrences to report, and a 3-D block has no place on a 2-D line: they
+    are refused without a read."""
+    with mock.patch.object(WordSource, "letters_on_lines",
+                           side_effect=AssertionError("read")), pytest.raises(error):
+        scan()
 
 
 def test_origin_changes_the_scanned_block():

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multirec import lattice, recurrence
+from multirec import lattice
 from multirec.cli import resolve_word
 from multirec.generators import Morphism
 from multirec.lattice import FiniteWord, WordSource, iter_box, translate_origin, vec_add
@@ -114,17 +114,17 @@ claims = st.none() | st.integers(1, 40) | st.just(lambda s: 3 * max(s))
 @pytest.mark.parametrize("name", sorted(WORDS))
 @given(horizon=st.integers(1, 200), direction_bound=st.integers(1, 3),
        size_bound=st.integers(1, 2), origin_bound=st.integers(1, 2), claim=claims,
-       table_cells=st.sampled_from([recurrence._SLICE_LETTERS, 300, 1]))
+       table_cells=st.sampled_from([lattice._SLICE_LETTERS, 300, 1]))
 @settings(max_examples=6, deadline=None)
 def test_sweeps_match_the_lazy_reference(name, horizon, direction_bound, size_bound,
                                          origin_bound, claim, table_cells):
     """A narrow ``table_cells`` builds each table in several slices: with
-    300 cells they are cut along the multipliers, and along the directions
-    in the wider sweeps; with 1 each slice holds 8 multipliers of one
-    direction."""
+    300 cells a slice holds several whole directions of the short, narrow
+    sweeps and part of one direction of the others; with 1 each slice holds
+    8 multipliers of one direction."""
     w = WORDS[name]()
     budget = RecurrenceBudget(horizon, direction_bound, size_bound, origin_bound)
-    with mock.patch.object(recurrence, "_SLICE_LETTERS", table_cells):
+    with mock.patch.object(lattice, "_SLICE_LETTERS", table_cells):
         urd = check_urd_empirical(w, budget, claim=claim)
         surd = check_surd_empirical(w, budget, claim=claim)
         ssurdo = check_ssurdo_empirical(w, budget, claim=claim)
@@ -195,13 +195,13 @@ def test_sweeps_of_a_word_translated_past_2_62(name):
 
 @pytest.mark.parametrize("slice_letters", [1, 216, 1080])
 def test_tables_built_in_slices_match_the_lazy_reference(slice_letters):
-    """The sweep reads 9 starts along 5 directions.  A slice of 1080
-    letters takes 24 multipliers of every direction, one of 216 takes 8
-    multipliers of 3 directions, and one of 1 takes 8 multipliers (a byte
-    of the bit rows) of one direction."""
+    """The sweep reads 9 starts along 5 directions to 131 multipliers, more
+    than one direction fits in 1080 letters: a slice of 1080 letters takes
+    120 multipliers of one direction, one of 216 takes 24, and one of 1
+    takes 8 (a byte of the bit rows)."""
     w = WORDS["surd-not-ssurdo-2x2"]()
     budget = RecurrenceBudget(130, 2, 2, 1)
-    with mock.patch.object(recurrence, "_SLICE_LETTERS", slice_letters):
+    with mock.patch.object(lattice, "_SLICE_LETTERS", slice_letters):
         got = check_ssurdo_empirical(w, budget)
         report = gap_report(w, (2, 1), (3, 2), (4, 5), 130)
     assert got == [_summarize(s, reports) for s, reports in
@@ -213,8 +213,8 @@ def test_tables_built_in_slices_match_the_lazy_reference(slice_letters):
 def test_slices_and_reads_stay_within_their_caps(slice_letters):
     """Each letters_on_lines call of the sweep reads at most _SLICE_LETTERS
     letters and each builder call at most _CALL_LETTERS, whatever the
-    horizon: 5000 letters take 56 multipliers of all 9 directions, 100
-    take 8 of one, and the gate cuts either into builder calls."""
+    horizon: 5000 letters take 552 multipliers of one of the 9 directions,
+    100 take 8, and the gate cuts either into builder calls."""
     plain = WORDS["sturmian"]()
     calls = []
 
@@ -233,7 +233,7 @@ def test_slices_and_reads_stay_within_their_caps(slice_letters):
         return out
 
     with mock.patch.object(WordSource, "letters_on_lines", counted_read), \
-            mock.patch.object(recurrence, "_SLICE_LETTERS", slice_letters), \
+            mock.patch.object(lattice, "_SLICE_LETTERS", slice_letters), \
             mock.patch.object(lattice, "_CALL_LETTERS", 300):
         got = check_ssurdo_empirical(w, budget)
     assert len(reads) > 1 and max(reads) <= slice_letters
