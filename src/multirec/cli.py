@@ -13,23 +13,9 @@ import os
 import sys
 
 from .derive import UNIFORM, derivative_per_direction, derivative_uniform, directional_blocks
-from .errors import FixtureMissing, MultirecError, ReturnScanFailed
+from .errors import FixtureMissing, InvalidInput, MultirecError, ReturnScanFailed
 from .figures import verify_figures
-from .generators import (
-    CONSTANT,
-    PRESET_NAMES,
-    SEEDED_RANDOM,
-    Morphism,
-    ToeplitzSchedule,
-    fib_rows_word,
-    gcd_word,
-    load_preset,
-    morphism_from_json,
-    preset_word,
-    thue_morse_word,
-    toeplitz_construct,
-    toeplitz_rows_word,
-)
+from .generators import PRESET_NAMES, Morphism, load_preset, morphism_from_json, named_word
 from .lattice import FiniteWord, WordSource, translate_origin
 from .morphic import NOT_SURD, classify_2x2, non_surd_2x2_witness, survey_all_2x2
 from .recurrence import (
@@ -42,7 +28,6 @@ from .recurrence import (
 )
 from .render import FORMATS, TEXT, UNDEFINED, render_rows, sample_rows
 from .residues import family_c
-from .rotation import sturmian_spec
 
 USAGE_EXIT = 1
 CHECK_FAILED_EXIT = 2
@@ -70,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message)
 
 
-class _Usage(Exception):
-    pass
-
-
 class _CheckFailed(Exception):
     pass
 
@@ -82,66 +63,53 @@ class _CheckFailed(Exception):
 # flag parsing helpers
 
 
-def parse_box(text: str) -> tuple[int, ...]:
+def parse_box(text: str, flag: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split("x"))
     except ValueError:
-        raise _Usage(f"bad box {text!r}, expected like 27x8")
+        raise InvalidInput(f"bad {flag} {text!r}, expected like 27x8")
     if not parts or any(p < 1 for p in parts):
-        raise _Usage(f"bad box {text!r}, sides must be positive")
+        raise InvalidInput(f"bad {flag} {text!r}, sides must be positive")
     return parts
 
 
-def parse_vector(text: str) -> tuple[int, ...]:
+def parse_vector(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise _Usage(f"bad vector {text!r}, expected like 1,2")
+        raise InvalidInput(f"bad {flag} {text!r}, expected like 1,2")
 
 
 def parse_budget(text: str) -> RecurrenceBudget:
     parts = text.split(",")
     if len(parts) != 5:
-        raise _Usage("budget takes five comma separated integers L,Q,S,P,B")
+        raise InvalidInput("budget takes five comma separated integers L,Q,S,P,B")
     try:
         l, q, s, p, b = (int(x) for x in parts)
         return RecurrenceBudget(l, q, s, p, b)
     except ValueError as exc:
-        raise _Usage(f"bad budget {text!r}: {exc}")
+        raise InvalidInput(f"bad budget {text!r}: {exc}")
 
 
-def resolve_word(name: str, seed: int = 0) -> WordSource:
-    if name in PRESET_NAMES:
-        return preset_word(name)
-    builders = {
-        "thue-morse": thue_morse_word,
-        "gcd-thue-morse": lambda: gcd_word(thue_morse_word(), 2),
-        "fib-rows": fib_rows_word,
-        "toeplitz-rows": toeplitz_rows_word,
-        "sturmian": lambda: sturmian_spec().word(),
-        "toeplitz-constant": lambda: toeplitz_construct(
-            ToeplitzSchedule(policy=CONSTANT, fill_letter=0)
-        ),
-        "toeplitz-random": lambda: toeplitz_construct(
-            ToeplitzSchedule(policy=SEEDED_RANDOM, seed=seed)
-        ),
-    }
-    if name not in builders:
-        known = ", ".join(list(PRESET_NAMES) + sorted(builders))
-        raise _Usage(f"unknown word {name!r}; have {known}")
-    return builders[name]()
-
-
-def load_morphism_arg(args) -> Morphism:
-    if getattr(args, "preset", None):
+def _morphism(args) -> Morphism:
+    """The morphism of --preset or --morphism."""
+    if args.preset:
         return load_preset(args.preset)
     with open(args.morphism, encoding="utf-8") as fh:
         return morphism_from_json(json.load(fh))
 
 
+def _word(args) -> WordSource:
+    """The word of the word flags: a named word, or the fixed point of
+    --letter (of 1 where a subcommand has no --letter) of the morphism."""
+    if args.word is not None:
+        return named_word(args.word, seed=args.seed)
+    return _morphism(args).fixed_point(getattr(args, "letter", 1))
+
+
 def _check_read_size(what: str, letters: int, limit: int = _MAX_LETTERS) -> None:
     if letters > limit:
-        raise _Usage(f"{what} reads more than the limit of {limit} letters")
+        raise InvalidInput(f"{what} reads more than the limit of {limit} letters")
 
 
 def _check_budget(budget: RecurrenceBudget, mode: str, d: int) -> None:
@@ -157,7 +125,7 @@ def _check_budget(budget: RecurrenceBudget, mode: str, d: int) -> None:
     origins = (budget.origin_bound + 1) ** d if mode == "ssurdo" else 1
     lines = budget.size_bound ** d * origins * (budget.direction_bound + 1) ** d
     if lines > _MAX_LINES:
-        raise _Usage(f"--budget scans about {lines} lines, above the limit of {_MAX_LINES}")
+        raise InvalidInput(f"--budget scans about {lines} lines, above the limit of {_MAX_LINES}")
     _check_read_size(f"--budget of about {lines} lines to horizon {budget.horizon}",
                      lines * (budget.horizon + 1), _MAX_SCAN_LETTERS)
 
@@ -170,13 +138,12 @@ def block_text(block: FiniteWord) -> str:
 
 
 def emit(text: str, path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def dump_json(obj) -> str:
@@ -190,46 +157,42 @@ def dump_json(obj) -> str:
 def cmd_generate(args) -> int:
     if args.iterate is not None:
         if args.box is not None:
-            raise _Usage("--box and --iterate are mutually exclusive")
-        phi = load_morphism_arg(args)
+            raise InvalidInput("--box and --iterate are mutually exclusive")
+        if args.word is not None:
+            raise InvalidInput("--iterate renders the image of a letter under a morphism; "
+                               "it needs --preset or --morphism, not --word")
+        phi = _morphism(args)
         # capped exponent: a huge --iterate is refused, not computed
         _check_read_size(f"--iterate {args.iterate}", math.prod(phi.dims) ** min(args.iterate, 64))
-        grid = phi.iterate(args.letter, args.iterate)
-        rows = sample_rows(grid, grid.size)
-        emit(render_rows(rows, max(len(phi.images), 2), args.format), args.output)
-        return 0
-    if args.box is None:
-        raise _Usage("generate needs --box (or --iterate)")
-    box = parse_box(args.box)
-    if args.preset or args.morphism:
-        w = load_morphism_arg(args).fixed_point(args.letter)
+        w = phi.iterate(args.letter, args.iterate)
+        box, k = w.size, max(phi.alphabet_size, 2)
     else:
-        w = resolve_word(args.word, seed=args.seed)
-    if len(box) != w.dimension:
-        raise _Usage(f"box {args.box} has wrong dimension for this word")
-    _check_read_size(f"--box {args.box}", math.prod(box))
-    rows = sample_rows(w, box)
-    emit(render_rows(rows, w.alphabet_size, args.format), args.output)
+        if args.box is None:
+            raise InvalidInput("generate needs --box (or --iterate)")
+        box = parse_box(args.box, "--box")
+        w = _word(args)
+        if len(box) != w.dimension:
+            raise InvalidInput(f"box {args.box} has wrong dimension for this word")
+        _check_read_size(f"--box {args.box}", math.prod(box))
+        k = w.alphabet_size
+    emit(render_rows(sample_rows(w, box), k, args.format), args.output)
     return 0
 
 
 def cmd_extract(args) -> int:
-    name = args.preset or args.word
-    w = resolve_word(name, seed=args.seed)
-    direction = parse_vector(args.dir)
+    w = _word(args)
+    direction = parse_vector(args.dir, "--dir")
     if not any(direction):
-        raise _Usage(f"bad --dir {args.dir}, the zero vector gives no direction")
-    size = parse_box(args.size)
+        raise InvalidInput(f"bad --dir {args.dir}, the zero vector gives no direction")
+    size = parse_box(args.size, "--size")
     if args.len < 0:
-        raise _Usage(f"bad --len {args.len}, it must be nonnegative")
+        raise InvalidInput(f"bad --len {args.len}, it must be nonnegative")
     _check_read_size(f"--len {args.len} of size {args.size}", args.len * math.prod(size))
     if args.origin:
-        w = translate_origin(w, parse_vector(args.origin))
+        w = translate_origin(w, parse_vector(args.origin, "--origin"))
     blocks = directional_blocks(w, direction, size, args.len)
-    if args.json:
-        emit(dump_json([b.to_nested() for b in blocks]), args.output)
-    else:
-        emit("".join(block_text(b) for b in blocks), args.output)
+    emit(dump_json([b.to_nested() for b in blocks]) if args.json
+         else "".join(block_text(b) for b in blocks), args.output)
     return 0
 
 
@@ -242,11 +205,11 @@ def _gap_line(r) -> str:
 
 
 def cmd_check(args) -> int:
-    w = resolve_word(args.preset or args.word, seed=args.seed)
+    w = _word(args)
     budget = parse_budget(args.budget) if args.budget else RecurrenceBudget()
     claim = args.claim
     if claim is not None and args.mode == "ur":
-        raise _Usage("--claim bounds gaps in urd, surd and ssurdo modes; ur has none")
+        raise InvalidInput("--claim bounds gaps in urd, surd and ssurdo modes; ur has none")
     _check_budget(budget, args.mode, w.dimension)
     failed = False
     lines = []
@@ -322,7 +285,7 @@ def cmd_classify(args) -> int:
         if bad:
             raise _CheckFailed("survey found verdicts the scans contradict")
         return 0
-    phi = load_morphism_arg(args)
+    phi = _morphism(args)
     verdict = classify_2x2(phi)
     info = {"verdict": verdict}
     if verdict == NOT_SURD:
@@ -348,8 +311,8 @@ def cmd_subgroups(args) -> int:
     # s^d generators of s residues each; for s >= 2 an exponent past 20 is
     # over the limit anyway
     if args.s < 2 or args.d < 1 or args.s ** min(args.d + 1, 21) > _MAX_LETTERS:
-        raise _Usage(f"bad --s {args.s} --d {args.d}: need s >= 2, d >= 1 and "
-                     f"s^(d+1) within the limit of {_MAX_LETTERS}")
+        raise InvalidInput(f"bad --s {args.s} --d {args.d}: need s >= 2, d >= 1 and "
+                           f"s^(d+1) within the limit of {_MAX_LETTERS}")
     fam = family_c(args.s, args.d)
     if args.json:
         payload = [
@@ -370,17 +333,17 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    w = resolve_word(args.word, seed=args.seed)
-    size = parse_box(args.size)
-    box = parse_box(args.box)
+    w = _word(args)
+    size = parse_box(args.size, "--size")
+    box = parse_box(args.box, "--box")
     per_direction = args.scheme == "per-direction"
     if args.scan_box is not None and per_direction:
-        raise _Usage("--scan-box applies only to --scheme uniform")
-    scan = None if args.scan_box is None else parse_box(args.scan_box)
+        raise InvalidInput("--scan-box applies only to --scheme uniform")
+    scan = None if args.scan_box is None else parse_box(args.scan_box, "--scan-box")
     if scan is not None and len(scan) != len(box):
-        raise _Usage(f"--scan-box {args.scan_box} and --box {args.box} differ in dimension")
+        raise InvalidInput(f"--scan-box {args.scan_box} and --box {args.box} differ in dimension")
     if args.horizon < 0:
-        raise _Usage(f"bad --horizon {args.horizon}, it must be nonnegative")
+        raise InvalidInput(f"bad --horizon {args.horizon}, it must be nonnegative")
     # the box whose lines are read, at most one line per cell
     scanned = box if per_direction else scan or (max(box),) * len(box)
     _check_read_size(f"derive of size {args.size} over {'x'.join(map(str, scanned))} "
@@ -430,11 +393,22 @@ def cmd_verify_figures(args) -> int:
 # parser assembly
 
 
-def _add_word_flags(p: _Parser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_NAMES, help="built in morphism")
-    group.add_argument("--word", help="named word (preset or classical)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random fillings")
+# Flags that several subcommands share: their names and argparse keywords.
+_SHARED = {
+    "preset": (("--preset",), {"choices": PRESET_NAMES, "help": "built in morphism"}),
+    "word": (("--word",), {"help": "named word (preset or classical)"}),
+    "morphism": (("--morphism",), {"metavar": "FILE", "help": "morphism as JSON"}),
+    "seed": (("--seed",), {"type": int, "default": 0, "help": "seed for random fillings"}),
+    "json": (("--json",), {"action": "store_true"}),
+    "output": (("-o", "--output"), {}),
+}
+
+
+def _add(target, *flags: str) -> None:
+    """Add shared flags to a parser or group, in the order given."""
+    for flag in flags:
+        names, kwargs = _SHARED[flag]
+        target.add_argument(*names, **kwargs)
 
 
 def build_parser() -> _Parser:
@@ -442,65 +416,56 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("generate", help="render a prefix grid")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_NAMES)
-    group.add_argument("--word")
-    group.add_argument("--morphism", metavar="FILE", help="morphism as JSON")
+    _add(p.add_mutually_exclusive_group(required=True), "preset", "word", "morphism")
     p.add_argument("--box", help="prefix extent, like 32x32")
     p.add_argument("--iterate", type=int, metavar="N", help="render the N-th image of --letter instead of a fixed point prefix")
     p.add_argument("--letter", type=int, default=1)
     p.add_argument("--format", choices=FORMATS, default=TEXT)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
+    _add(p, "seed", "output")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("extract", help="read blocks along a direction")
-    _add_word_flags(p)
+    _add(p.add_mutually_exclusive_group(required=True), "preset", "word")
+    _add(p, "seed")
     p.add_argument("--dir", required=True, help="direction, like 1,1")
     p.add_argument("--size", required=True, help="block size, like 1x2")
     p.add_argument("--len", type=int, required=True, help="number of blocks")
     p.add_argument("--origin", help="shift the word first, like 3,0")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add(p, "json", "output")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("check", help="scan recurrence gaps")
-    _add_word_flags(p)
+    _add(p.add_mutually_exclusive_group(required=True), "preset", "word")
+    _add(p, "seed")
     p.add_argument("--mode", choices=("urd", "surd", "ssurdo", "ur"), default="urd")
     p.add_argument("--budget", metavar="L,Q,S,P,B", help="horizon, direction, size, origin, block bounds")
     p.add_argument("--claim", type=int, help="gap bound the scan must stay under")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add(p, "json", "output")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("classify", help="decide recurrence for 2x2 binary morphisms")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_NAMES)
-    group.add_argument("--morphism", metavar="FILE")
+    _add(group, "preset", "morphism")
     group.add_argument("--all", action="store_true", help="survey every candidate")
     p.add_argument("--param", type=int, default=3, help="parameter for witness directions")
     p.add_argument("--workers", type=int, default=os.cpu_count(), help="process pool size for --all")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add(p, "json", "output")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("subgroups", help="list cyclic subgroups of (Z/s)^d")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add(p, "json", "output")
     p.set_defaults(func=cmd_subgroups)
 
     p = sub.add_parser("derive", help="code return words on a grid")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, help="named word (preset or classical)")
     p.add_argument("--size", required=True, help="prefix block size, like 1x2")
     p.add_argument("--scheme", choices=("per-direction", "uniform"), default="per-direction")
     p.add_argument("--box", required=True, help="grid extent, like 27x8")
     p.add_argument("--scan-box", help="table collection extent (uniform only)")
     p.add_argument("--horizon", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
+    _add(p, "seed", "json", "output")
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("verify-figures", help="compare against shipped reference grids")
@@ -520,9 +485,6 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return USAGE_EXIT
         return 0 if exc.code in (0, None) else USAGE_EXIT
-    except _Usage as exc:
-        print(f"multirec: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except ReturnScanFailed as exc:
         print(f"multirec: budget exhausted: {exc}", file=sys.stderr)
         return BUDGET_EXIT

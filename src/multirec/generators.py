@@ -4,7 +4,8 @@ fixed points have two digit walks, one per letter and one per line (see
 Morphism); the line walk reads a long line through the lines of its high
 digits, one table gather per letter, and a short one m digits per table
 lookup into the images of phi^m.  ``Morphism.iterate`` substitutes and
-walks no digits, so it is a reference for both.  Line builders are plain
+walks no digits, so it is a reference for both.  ``named_word`` builds
+each word of ``WORD_NAMES`` from its name.  Line builders are plain
 numpy kernels over paired lines (row i of an (L, n) array holds the
 letters at starts[i] + ell * steps[i]): ``WordSource._read_lines`` hands
 them only nonempty lines inside N^d below its 2^62 reach, in calls of at
@@ -20,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionBug, NotProlongable
+from .errors import ConstructionBug, InvalidInput, NotProlongable
 from .lattice import FiniteWord, Vector, WordSource
+from .rotation import sturmian_spec
 
 
 def _uint64_line(letters_of):
@@ -115,7 +117,12 @@ class Morphism:
     def image(self, b: int) -> FiniteWord:
         return self.images[b]
 
+    def _check_letter(self, a: int) -> None:
+        if not 0 <= a < len(self.images):
+            raise InvalidInput(f"letter {a} is outside the alphabet 0..{len(self.images) - 1}")
+
     def is_prolongable(self, a: int) -> bool:
+        self._check_letter(a)
         return self.images[a].cells[0] == a
 
     def letter_in_fixed_point(self, a: int, p: Sequence[int]) -> int:
@@ -147,6 +154,7 @@ class Morphism:
         axis, and the reshape merges them."""
         if n < 0:
             raise ValueError("negative iteration depth")
+        self._check_letter(b)
         grid = self._substitute(b, n)
         return FiniteWord(tuple(s ** n for s in self.dims), grid.ravel().tolist())
 
@@ -544,3 +552,30 @@ class ToeplitzWord:
 
 def toeplitz_construct(schedule: ToeplitzSchedule) -> WordSource:
     return ToeplitzWord(schedule).source()
+
+
+# ---------------------------------------------------------------------------
+# named words
+
+
+# The words of ``named_word``, by name: each builds from a seed, which only
+# the random Toeplitz filling reads.
+_WORDS = {
+    **{name: (lambda seed, name=name: preset_word(name)) for name in PRESET_NAMES},
+    "fib-rows": lambda seed: fib_rows_word(),
+    "gcd-thue-morse": lambda seed: gcd_word(thue_morse_word(), 2),
+    "sturmian": lambda seed: sturmian_spec().word(),
+    "thue-morse": lambda seed: thue_morse_word(),
+    "toeplitz-constant": lambda seed: toeplitz_construct(ToeplitzSchedule(CONSTANT, fill_letter=0)),
+    "toeplitz-random": lambda seed: toeplitz_construct(ToeplitzSchedule(SEEDED_RANDOM, seed=seed)),
+    "toeplitz-rows": lambda seed: toeplitz_rows_word(),
+}
+# The presets (their fixed points of 1), then the classical words.
+WORD_NAMES = tuple(_WORDS)
+
+
+def named_word(name: str, seed: int = 0) -> WordSource:
+    """The word that a name in ``WORD_NAMES`` stands for."""
+    if name not in _WORDS:
+        raise InvalidInput(f"unknown word {name!r}; have {', '.join(WORD_NAMES)}")
+    return _WORDS[name](seed)

@@ -7,7 +7,7 @@ import pytest
 from multirec import morphic
 from multirec.cli import _MAX_LETTERS, _MAX_LINES, _MAX_SCAN_LETTERS, _check_budget, main
 from multirec.figures import _fixture
-from multirec.generators import Morphism, morphism_to_json
+from multirec.generators import WORD_NAMES, Morphism, morphism_to_json, named_word
 from multirec.lattice import FiniteWord, WordSource
 from multirec.recurrence import RecurrenceBudget
 from multirec.render import read_grid_fixture, to_text
@@ -101,6 +101,47 @@ def test_generate_box_dimension_mismatch(capsys):
 def test_unknown_word_is_a_usage_error(capsys):
     code, _, err = run(capsys, "generate", "--word", "no-such-word", "--box", "4x4")
     assert code == 1
+
+
+@pytest.mark.parametrize("name", WORD_NAMES)
+def test_every_named_word_renders(capsys, name):
+    """The CLI resolves every name of the library's table."""
+    box = "x".join(["6"] * named_word(name).dimension)
+    code, out, err = run(capsys, "generate", "--word", name, "--box", box)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == (6 if "x" in box else 1)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["generate", "--word", "thue-morse", "--iterate", "3"], ["--iterate", "--preset", "--morphism"]),
+    (["generate", "--preset", "sierpinski", "--box", "4x4", "--letter", "7"], ["letter 7"]),
+    (["generate", "--preset", "sierpinski", "--iterate", "2", "--letter", "7"], ["letter 7"]),
+    (["generate", "--preset", "sierpinski", "--iterate", "2", "--letter", "-1"], ["letter -1"]),
+    (["generate", "--word", "no-such-word", "--box", "4x4"], ["unknown word"]),
+    (["generate", "--morphism", "no-such-file.json", "--box", "4x4"], ["no-such-file.json"]),
+    (["classify", "--morphism", "no-such-file.json"], ["no-such-file.json"]),
+    (["generate", "--preset", "sierpinski", "--box", "garbage"], ["--box 'garbage'"]),
+    (["extract", "--preset", "sierpinski", "--dir", "a,b", "--size", "1x1", "--len", "2"],
+     ["--dir 'a,b'"]),
+    (["extract", "--preset", "sierpinski", "--dir", "1,1", "--size", "1y1", "--len", "2"],
+     ["--size '1y1'"]),
+    (["extract", "--preset", "sierpinski", "--dir", "1,1", "--size", "1x1", "--len", "2",
+      "--origin", "q"], ["--origin 'q'"]),
+    (["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "4x3",
+      "--scheme", "uniform", "--scan-box", "garbage"], ["--scan-box 'garbage'"]),
+    (["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "0x3"],
+     ["--box '0x3'", "positive"]),
+], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "unknown-word",
+        "missing-morphism", "classify-missing-morphism", "box", "dir", "size", "origin",
+        "scan-box", "derive-box"])
+def test_malformed_input_exits_1_with_a_message(capsys, argv, words):
+    """Bad input never prints a traceback: main returns 1, and the one
+    message line names what was wrong."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("multirec") and err.count("\n") == 1
+    assert all(word in err for word in words)
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

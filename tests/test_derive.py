@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from multirec import lattice
-from multirec.cli import main, resolve_word
+from multirec.cli import main
 from multirec.derive import (
     UNDEFINED,
     UNIFORM,
@@ -23,7 +23,7 @@ from multirec.derive import (
     return_words_along,
 )
 from multirec.errors import DegenerateDirection, InvalidInput, ReturnScanFailed
-from multirec.generators import gcd_word, preset_word, thue_morse_word
+from multirec.generators import gcd_word, named_word, preset_word, thue_morse_word
 from multirec.lattice import WordSource, factor_at, iter_box, vec_scale
 
 
@@ -248,17 +248,17 @@ def reference_grid(w, s, box, horizon, uniform):
 
 
 def _no_builder(name):
-    w = resolve_word(name)
+    w = named_word(name)
     return WordSource(w.dimension, w.alphabet_size, w.letter, name=f"{name}, pointwise")
 
 
 # (word, block size, box, horizon)
 ORACLE_CASES = {
-    "surd-not-ssurdo-2x2": (lambda: resolve_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200),
-    "toeplitz-random-0": (lambda: resolve_word("toeplitz-random", seed=0), (2, 2), (5, 5), 200),
-    "toeplitz-random-7": (lambda: resolve_word("toeplitz-random", seed=7), (2, 1), (6, 4), 200),
-    "gcd-thue-morse": (lambda: resolve_word("gcd-thue-morse"), (1, 1), (6, 6), 64),
-    "thue-morse": (lambda: resolve_word("thue-morse"), (3,), (30,), 200),
+    "surd-not-ssurdo-2x2": (lambda: named_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200),
+    "toeplitz-random-0": (lambda: named_word("toeplitz-random", seed=0), (2, 2), (5, 5), 200),
+    "toeplitz-random-7": (lambda: named_word("toeplitz-random", seed=7), (2, 1), (6, 4), 200),
+    "gcd-thue-morse": (lambda: named_word("gcd-thue-morse"), (1, 1), (6, 6), 64),
+    "thue-morse": (lambda: named_word("thue-morse"), (3,), (30,), 200),
     "no-builder": (lambda: _no_builder("surd-not-ssurdo-2x2"), (2, 1), (5, 5), 100),
 }
 
@@ -306,7 +306,7 @@ def test_oracle_cases_build_grids():
 def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
     """Every letters_on_lines call of a derive reads at most the slice cap,
     and every (cell, direction, multiplier) letter is read exactly once."""
-    w, s, box, horizon = resolve_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200
+    w, s, box, horizon = named_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200
     cap = int(slice_lines * math.prod(s) * (horizon + 1))
     reads = []
     read = WordSource.letters_on_lines

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multirec import generators, lattice
+from multirec import generators, lattice, morphic
 from multirec.errors import InvalidInput, NotProlongable
 from multirec.generators import (
     CONSTANT,
     PRESET_NAMES,
     SEEDED_RANDOM,
+    WORD_NAMES,
     Morphism,
     ToeplitzSchedule,
     ToeplitzWord,
@@ -25,6 +26,7 @@ from multirec.generators import (
     load_preset,
     morphism_from_json,
     morphism_to_json,
+    named_word,
     preset_word,
     thue_morse,
     thue_morse_word,
@@ -107,6 +109,33 @@ def test_fixed_point_requires_prolongable_letter():
     with pytest.raises(NotProlongable):
         # 0's image starts with 0, so no fixed point grows from 1's seed there
         Morphism([phi.image(1), phi.image(1)]).fixed_point(0)
+
+
+@pytest.mark.parametrize("letter", [2, 7, -1])
+def test_a_letter_outside_the_alphabet_is_refused(letter):
+    """A letter outside [0, k) is an input error, not an index that numpy
+    would wrap (-1) or overrun (k and above): every method that takes a
+    letter raises InvalidInput for it."""
+    phi = load_preset("sierpinski")
+    for call in (lambda: phi.is_prolongable(letter), lambda: phi.iterate(letter, 2),
+                 lambda: phi.iterate(letter, 0), lambda: phi.fixed_point(letter),
+                 lambda: phi.letter_in_fixed_point(letter, (3, 5)),
+                 lambda: morphic.check_main_morphic(phi, letter)):
+        with pytest.raises(InvalidInput, match=f"letter {letter} is outside the alphabet"):
+            call()
+
+
+def test_named_words_are_the_presets_then_the_classical_words():
+    assert WORD_NAMES[:len(PRESET_NAMES)] == PRESET_NAMES
+    assert WORD_NAMES[len(PRESET_NAMES):] == (
+        "fib-rows", "gcd-thue-morse", "sturmian", "thue-morse", "toeplitz-constant",
+        "toeplitz-random", "toeplitz-rows")
+    assert named_word("sierpinski").name == "sierpinski"
+    seeded = [named_word("toeplitz-random", seed=seed).letters_along((1, 0), (1, 2), 64)
+              for seed in (3, 3, 4)]
+    assert seeded[0].tolist() == seeded[1].tolist() != seeded[2].tolist()
+    with pytest.raises(InvalidInput, match="unknown word 'no-such-word'; have preimage-3x2, "):
+        named_word("no-such-word")
 
 
 def test_fixed_point_requires_every_side_at_least_two():

@@ -18,25 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multirec import lattice
-from multirec.cli import resolve_word
 from multirec.derive import directional_blocks
-from multirec.generators import Morphism
+from multirec.generators import WORD_NAMES, Morphism, named_word
 from multirec.lattice import FiniteWord, factor_at, iter_box, translate_origin, vec_add, vec_scale
 from multirec.recurrence import sample_grid
 from multirec.render import sample_rows
 from multirec.rotation import sturmian_spec
-
-
-def _resolvable_names() -> list[str]:
-    """Every name resolve_word knows, read off its unknown-word message."""
-    try:
-        resolve_word("no-such-word")
-    except Exception as exc:
-        return str(exc).split("have ", 1)[1].split(", ")
-    raise AssertionError("resolve_word accepted an unknown name")
-
-
-WORD_NAMES = _resolvable_names()
 
 
 def test_every_family_is_covered():
@@ -56,7 +43,7 @@ def _pointwise_rows(w, box) -> list[list[int]]:
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_batched_readers_match_pointwise_letters(name, data):
-    w = resolve_word(name, seed=5)
+    w = named_word(name, seed=5)
     d = w.dimension
     side = st.integers(1, 3)
     q = data.draw(st.tuples(*[st.integers(0, 4)] * d).filter(any), label="q")
@@ -78,7 +65,7 @@ def test_batched_readers_match_pointwise_letters(name, data):
 def test_family_reads_match_pointwise_letters(name, data):
     """Families of lines in any multiplier order, cut into builder calls
     as small as one letter."""
-    w = resolve_word(name, seed=5)
+    w = named_word(name, seed=5)
     vec = st.tuples(*[st.integers(0, 30)] * w.dimension)
     starts = data.draw(st.lists(vec, min_size=1, max_size=4), label="starts")
     steps = data.draw(st.lists(vec, min_size=1, max_size=3), label="steps")

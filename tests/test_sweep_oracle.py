@@ -23,8 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multirec import lattice
-from multirec.cli import resolve_word
-from multirec.generators import Morphism
+from multirec.generators import Morphism, named_word
 from multirec.lattice import FiniteWord, WordSource, iter_box, translate_origin, vec_add
 from multirec.recurrence import (
     BOUNDED_WITNESSED,
@@ -100,10 +99,10 @@ def random_square_morphism(seed: int) -> Morphism:
 
 
 WORDS = {
-    **{name: (lambda name=name: resolve_word(name)) for name in (
+    **{name: (lambda name=name: named_word(name)) for name in (
         "sierpinski", "surd-not-ssurdo-2x2", "ssurdo-3x3", "suffnotnec-3x3",
         "preimage-3x2", "sturmian", "gcd-thue-morse", "fib-rows", "thue-morse")},
-    "toeplitz-random": lambda: resolve_word("toeplitz-random", seed=4),
+    "toeplitz-random": lambda: named_word("toeplitz-random", seed=4),
     **{f"random-morphism-{seed}": (lambda seed=seed: random_square_morphism(seed).fixed_point(0))
        for seed in range(3)},
 }
