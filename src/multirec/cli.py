@@ -7,6 +7,7 @@ comparison fails, 3 when a scan runs out of its budget before deciding.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -155,6 +156,9 @@ def dump_json(obj) -> str:
 
 
 def cmd_generate(args) -> int:
+    if args.word is not None and args.letter is not None:
+        raise InvalidInput("--letter picks a fixed point of --preset or --morphism, not of --word")
+    args.letter = 1 if args.letter is None else args.letter
     if args.iterate is not None:
         if args.box is not None:
             raise InvalidInput("--box and --iterate are mutually exclusive")
@@ -411,6 +415,7 @@ def _add(target, *flags: str) -> None:
         target.add_argument(*names, **kwargs)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     top = _Parser(prog="multirec", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
@@ -419,7 +424,7 @@ def build_parser() -> _Parser:
     _add(p.add_mutually_exclusive_group(required=True), "preset", "word", "morphism")
     p.add_argument("--box", help="prefix extent, like 32x32")
     p.add_argument("--iterate", type=int, metavar="N", help="render the N-th image of --letter instead of a fixed point prefix")
-    p.add_argument("--letter", type=int, default=1)
+    p.add_argument("--letter", type=int)
     p.add_argument("--format", choices=FORMATS, default=TEXT)
     _add(p, "seed", "output")
     p.set_defaults(func=cmd_generate)
@@ -475,9 +480,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # raised by the overridden parser error hook

@@ -9,8 +9,9 @@ unidimensional derivative of each line; stitching the lines together over
 the lattice gives a grid, either with one code table per direction or with
 one global table (in which case the origin has no well-defined code and is
 rendered as '?').  A grid reads its lines as sliced families of directions
-and keeps only the return words it codes.  Blocks become FiniteWords again
-only where a table is decoded for output.
+in doubling chunks of multipliers, stops along each direction once it has
+the return words it codes, and keeps only those.  Blocks become FiniteWords
+again only where a table is decoded for output.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .render import UNDEFINED
 
 PER_DIRECTION = "PER_DIRECTION"
 UNIFORM = "UNIFORM"
+# A grid reads multipliers [0, 16) along a direction first; each next chunk doubles the read.
+_FIRST_CHUNK = 16
 
 # A return word: the codes of consecutive directional blocks from one
 # occurrence of the prefix block up to (excluding) the next.
@@ -85,16 +88,17 @@ def block_codes(
     count: int | range,
 ) -> np.ndarray:
     """The (len(directions), count) codes of the blocks of the given size
-    at ell*q, for each direction q and ell < count (or ell in a range): one
-    letters_on_lines read, then one Horner step per cell, in int64 while
-    k^cells <= 2^62 and in Python ints (an object array) beyond."""
-    letters = w.letters_on_lines(list(iter_box(tuple(size))), directions, count)
-    k = w.alphabet_size
-    dtype = np.int64 if k ** len(letters) <= 1 << 62 else object
-    codes = np.zeros(letters.shape[1:], dtype=dtype)
-    for column in letters[::-1]:
-        codes *= k
-        codes += column.astype(dtype, copy=False)
+    at ell*q, for each direction q and ell < count (or ell in a range): read
+    in the slices ``read_slices`` cuts, then one Horner step per cell, in
+    int64 while k^cells <= 2^62 and in Python ints (an object array) beyond."""
+    k, cells = w.alphabet_size, list(iter_box(tuple(size)))
+    ells = range(count) if isinstance(count, int) else count
+    dtype = np.int64 if k ** len(cells) <= 1 << 62 else object
+    codes = np.zeros((len(directions), len(ells)), dtype=dtype)
+    for js, ks in read_slices(len(directions), len(ells), len(cells)):
+        for column in w.letters_on_lines(cells, directions[js], ells[ks])[::-1]:
+            codes[js, ks] *= k
+            codes[js, ks] += column.astype(dtype, copy=False)
     return codes
 
 
@@ -103,16 +107,21 @@ def _return_words(
 ) -> dict[Vector, list[ReturnWordT]]:
     """Per direction q, the first lines[q] + 1 return words along q (every
     one within the horizon where lines[q] is None), failing at the first
-    direction of lines that has too few.  The codes are read in the slices
-    ``read_slices`` cuts, a block's cells per line; each group of
-    directions is cut to the words kept before the next is read."""
-    dirs, n = list(lines), horizon + 1
+    direction of lines that has too few.  Each group of whole lines that
+    ``read_slices`` cuts reads chunks of multipliers [0, 16), [16, 32), ...
+    along its directions that lack lines[q] + 2 prefix block occurrences."""
+    dirs, n, per = list(lines), horizon + 1, math.prod(size)
     check_scan(dirs, [size], horizon)
     per_line: dict[Vector, list[ReturnWordT]] = {}
-    for js, group in itertools.groupby(read_slices(len(dirs), n, math.prod(size)), lambda p: p[0]):
-        chunk = dirs[js]
-        codes = np.concatenate([block_codes(w, chunk, size, range(n)[ks]) for _, ks in group], 1)
-        for q, row in zip(chunk, codes):
+    for js, _ in itertools.groupby(read_slices(len(dirs), n, per), lambda p: p[0]):
+        rows, active, lo = dict.fromkeys(dirs[js], np.zeros(0, np.int64)), dirs[js], 0
+        while active and lo < n:
+            hi = min(n, max(_FIRST_CHUNK, 2 * lo))
+            for q, row in zip(active, block_codes(w, active, size, range(lo, hi))):
+                rows[q] = np.concatenate([rows[q], row])
+            active, lo = [q for q in active if lines[q] is None
+                          or np.count_nonzero(rows[q] == rows[q][0]) < lines[q] + 2], hi
+        for q, row in rows.items():
             top = lines[q]
             occ = np.flatnonzero(row == row[0])[:None if top is None else top + 2].tolist()
             if len(occ) < 2:

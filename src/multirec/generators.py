@@ -310,14 +310,16 @@ def morphism_to_json(m: Morphism) -> dict:
 
 
 def morphism_from_json(data: dict) -> Morphism:
-    k = int(data["k"])
-    dims = tuple(int(s) for s in data["dims"])
-    images = []
-    for b in range(k):
-        img = FiniteWord.from_nested(data["images"][str(b)])
+    try:
+        k, dims, nested = int(data["k"]), tuple(int(s) for s in data["dims"]), data["images"]
+        images = [FiniteWord.from_nested(nested[str(b)]) for b in range(k)]
+    except KeyError as exc:
+        key = exc.args[0]
+        raise InvalidInput(f"the morphism file has no {key!r}" if key in ("k", "dims", "images")
+                           else f"the morphism file has no image of letter {key}")
+    for b, img in enumerate(images):
         if img.size != dims:
             raise ValueError(f"image of {b} has size {img.size}, declared {dims}")
-        images.append(img)
     return Morphism(images)
 
 

@@ -56,12 +56,12 @@ def check_scan(directions: Sequence[Vector], sizes: Sequence[Vector], horizon: i
 
 def read_slices(rows: int, n: int, per: int, align: int = 1,
                 cap: int | None = None) -> Iterator[tuple[slice, slice]]:
-    """(row slice, multiplier slice) pieces, row-major, of rows x n >= 1
-    multipliers at per >= 1 letters each: a row's multipliers while it fits
-    in cap letters (by default _SLICE_LETTERS), else at least align and a
-    multiple of align of them, then as many rows as fit."""
+    """(row slice, multiplier slice) pieces, row-major, of rows x n
+    multipliers at per >= 1 letters each, none if n = 0: a row's multipliers
+    while it fits in cap letters (by default _SLICE_LETTERS), else at least
+    align and a multiple of align of them, then as many rows as fit."""
     cap = _SLICE_LETTERS if cap is None else cap
-    nc = n if per * n <= cap else max(align, cap // per // align * align)
+    nc = max(n, 1) if per * n <= cap else max(align, cap // per // align * align)
     rc = max(1, cap // (per * nc))
     for i in range(0, rows, rc):
         for k in range(0, n, nc):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from multirec import morphic
+import multirec
+from multirec import cli, morphic
 from multirec.cli import _MAX_LETTERS, _MAX_LINES, _MAX_SCAN_LETTERS, _check_budget, main
 from multirec.figures import _fixture
 from multirec.generators import WORD_NAMES, Morphism, morphism_to_json, named_word
@@ -117,6 +122,7 @@ def test_every_named_word_renders(capsys, name):
     (["generate", "--preset", "sierpinski", "--box", "4x4", "--letter", "7"], ["letter 7"]),
     (["generate", "--preset", "sierpinski", "--iterate", "2", "--letter", "7"], ["letter 7"]),
     (["generate", "--preset", "sierpinski", "--iterate", "2", "--letter", "-1"], ["letter -1"]),
+    (["generate", "--word", "sierpinski", "--letter", "0", "--box", "4x2"], ["--letter", "--word"]),
     (["generate", "--word", "no-such-word", "--box", "4x4"], ["unknown word"]),
     (["generate", "--morphism", "no-such-file.json", "--box", "4x4"], ["no-such-file.json"]),
     (["classify", "--morphism", "no-such-file.json"], ["no-such-file.json"]),
@@ -131,7 +137,8 @@ def test_every_named_word_renders(capsys, name):
       "--scheme", "uniform", "--scan-box", "garbage"], ["--scan-box 'garbage'"]),
     (["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "0x3"],
      ["--box '0x3'", "positive"]),
-], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "unknown-word",
+], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "word-letter",
+        "unknown-word",
         "missing-morphism", "classify-missing-morphism", "box", "dir", "size", "origin",
         "scan-box", "derive-box"])
 def test_malformed_input_exits_1_with_a_message(capsys, argv, words):
@@ -530,3 +537,44 @@ def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads
     assert code == 1
     assert out == ""
     assert "side" in err
+
+
+@pytest.mark.parametrize("data, field", [
+    ({}, "'k'"),
+    ({"k": 2}, "'dims'"),
+    ({"k": 2, "dims": [2, 2]}, "'images'"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]]}}, "image of letter 1"),
+], ids=["k", "dims", "images", "image-of-1"])
+def test_a_morphism_file_without_a_field_exits_1_naming_it(tmp_path, capsys, no_reads, data, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "generate", "--morphism", str(path), "--box", "4x4")
+    assert (code, out) == (1, "")
+    assert err == f"multirec: error: the morphism file has no {field}\n"
+
+
+# A derive, a check, a usage error, a pgm render, a classify and the help,
+# in that order.
+PARSER_REUSE_RUNS = [
+    ["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "6x4",
+     "--scheme", "uniform"],
+    ["check", "--preset", "ssurdo-3x3", "--mode", "surd", "--budget", "100,2,2,1,8"],
+    ["check", "--preset", "ssurdo-3x3", "--mode", "nonsense"],
+    ["generate", "--preset", "sierpinski", "--box", "6x4", "--format", "pgm"],
+    ["classify", "--preset", "sierpinski"],
+    ["--help"],
+]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys, monkeypatch):
+    """main builds its parser once per process, and each call on it gives
+    the exit code, stdout and stderr of the same command run in a fresh
+    interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(multirec.__file__).parents[1])}
+    cli.build_parser.cache_clear()
+    for argv in PARSER_REUSE_RUNS:
+        fresh = subprocess.run([sys.executable, "-m", "multirec", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli.build_parser.cache_info().misses == 1

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from multirec import lattice
+from multirec import derive, lattice
 from multirec.cli import main
 from multirec.derive import (
     UNDEFINED,
@@ -162,6 +162,11 @@ def test_block_codes_decode_to_the_directional_blocks(w, q, size, dtype):
             directional_blocks(w, direction, size, 40)
 
 
+def test_block_codes_of_no_multipliers_are_empty():
+    codes = block_codes(thue_morse_word(), [(1,), (2,)], (3,), 0)
+    assert codes.shape == (2, 0) and codes.dtype == np.int64
+
+
 def test_decode_round_trip_past_int64():
     """Size-64 Thue-Morse blocks have codes up to 2^64 - 1, kept as ints."""
     w = thue_morse_word()
@@ -301,13 +306,25 @@ def test_oracle_cases_build_grids():
                 if isinstance(_reference(case, uniform), str)]
 
 
-@pytest.mark.parametrize("slice_lines", [3, 0.5])
-@pytest.mark.parametrize("uniform", [False, True])
-def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
-    """Every letters_on_lines call of a derive reads at most the slice cap,
-    and every (cell, direction, multiplier) letter is read exactly once."""
-    w, s, box, horizon = named_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200
-    cap = int(slice_lines * math.prod(s) * (horizon + 1))
+def reference_occurrences(w, q, s, horizon):
+    """The multipliers ell <= horizon at which the block at ell*q equals
+    the prefix block, read pointwise."""
+    prefix = factor_at(w, vec_scale(q, 0), s)
+    return [ell for ell in range(horizon + 1) if factor_at(w, vec_scale(q, ell), s) == prefix]
+
+
+def chunk_end(ell, n):
+    """The end of the read chunk [0, 16), [16, 32), [32, 64), ... that
+    holds multiplier ell, cut at n."""
+    end = derive._FIRST_CHUNK
+    while end <= ell:
+        end *= 2
+    return min(end, n)
+
+
+def record_reads():
+    """A letters_on_lines stand-in that logs (starts, steps, multipliers)
+    of every call into the returned list, and the list."""
     reads = []
     read = WordSource.letters_on_lines
 
@@ -316,6 +333,21 @@ def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
                       if isinstance(multipliers, int) else list(multipliers)))
         return read(self, starts, steps, multipliers)
 
+    return recorded, reads
+
+
+@pytest.mark.parametrize("slice_lines", [3, 0.5])
+@pytest.mark.parametrize("uniform", [False, True])
+def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
+    """Every letters_on_lines call of a derive reads at most the slice cap,
+    and every (cell, direction, multiplier) letter is read at most once.
+    Along each direction q every cell reads one prefix range(m_q) of
+    multipliers, m_q the end of the chunk that holds the (top + 2)-th
+    occurrence of the prefix block (top the largest multiplier a grid cell
+    needs along q); some directions stop short of the horizon."""
+    w, s, box, horizon = named_word("surd-not-ssurdo-2x2"), (1, 2), (7, 5), 200
+    cap = int(slice_lines * math.prod(s) * (horizon + 1))
+    recorded, reads = record_reads()
     build = derivative_uniform if uniform else derivative_per_direction
     with mock.patch.object(WordSource, "letters_on_lines", recorded), \
             mock.patch.object(lattice, "_SLICE_LETTERS", cap):
@@ -324,12 +356,132 @@ def test_each_line_is_read_once_within_the_slice_cap(uniform, slice_lines):
     assert max(len(p) * len(q) * len(e) for p, q, e in reads) <= cap
     letters = Counter((tuple(p), tuple(q), ell) for starts, steps, ells in reads
                       for p in starts for q in steps for ell in ells)
-    scanned = (max(box),) * 2 if uniform else box
-    lines = {tuple(c // math.gcd(*p) for c in p) for p in iter_box(scanned) if any(p)}
     assert set(letters.values()) == {1}
-    assert set(letters) == {(p, q, ell) for p in iter_box(s) for q in lines
-                            for ell in range(horizon + 1)}
+    scanned = (max(box),) * 2 if uniform else box
+    tops: dict = {}
+    for p in iter_box(scanned):
+        if any(p):
+            g = math.gcd(*p)
+            q = tuple(c // g for c in p)
+            tops[q] = max(tops.get(q, 0), g)
+    ends = {}
+    for q, top in tops.items():
+        occ = reference_occurrences(w, q, s, horizon)
+        ends[q] = chunk_end(occ[top + 1], horizon + 1)
+    assert set(letters) == {(p, q, ell) for p in iter_box(s) for q in tops
+                            for ell in range(ends[q])}
+    assert min(ends.values()) < horizon + 1
     assert dw.codes == _reference("surd-not-ssurdo-2x2", uniform)[0]
+
+
+def full_horizon_return_words(w, size, lines, horizon):
+    """derive._return_words as it was before it stopped early: every
+    direction read to the horizon, then cut to the words kept."""
+    per_line = {}
+    for q, row in zip(lines, block_codes(w, list(lines), size, horizon + 1)):
+        top = lines[q]
+        occ = np.flatnonzero(row == row[0])[:None if top is None else top + 2].tolist()
+        if len(occ) < 2:
+            raise ReturnScanFailed(f"prefix block of size {size} does not reappear "
+                                   f"along {q} within {horizon}")
+        if top is not None and len(occ) <= top + 1:
+            raise ReturnScanFailed(f"need {top + 1} return words along {q}, "
+                                   f"found {len(occ) - 1} within {horizon}")
+        row = row[:occ[-1]].tolist()
+        per_line[q] = [tuple(row[a:b]) for a, b in zip(occ, occ[1:])]
+    return per_line
+
+
+def _grid_or_error(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except ReturnScanFailed as exc:
+        return str(exc)
+
+
+# (word, block size, box): two grids per word.  The uniform scheme scans
+# the cube of 12 on the Sturmian 12x3 box, and (5, 4) there has no
+# reappearance of the prefix block.
+EARLY_STOP_GRIDS = [
+    ("surd-not-ssurdo-2x2", (1, 2), (12, 8)),
+    ("surd-not-ssurdo-2x2", (2, 1), (27, 8)),
+    ("ssurdo-3x3", (2, 1), (9, 9)),
+    ("ssurdo-3x3", (1, 1), (20, 3)),
+    ("sturmian", (1, 1), (5, 5)),
+    ("sturmian", (2, 1), (12, 3)),
+    ("toeplitz-random", (1, 2), (8, 8)),
+    ("toeplitz-random", (2, 2), (16, 4)),
+]
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("name, s, box", EARLY_STOP_GRIDS)
+def test_early_stop_builds_the_full_horizon_grids(name, s, box, uniform):
+    """Both schemes build the grids, or name the failure, of the reader
+    that read every direction to the horizon."""
+    w = named_word(name)
+    build = derivative_uniform if uniform else derivative_per_direction
+    with mock.patch.object(derive, "_return_words", full_horizon_return_words):
+        expected = _grid_or_error(build, w, s, box, horizon=300)
+    assert _grid_or_error(build, w, s, box, horizon=300) == expected
+
+
+def test_early_stop_grids_build_but_one():
+    """The comparison above is one of grids, not of error texts, save for
+    the uniform Sturmian 12x3 box."""
+    failed = [(name, box, build.__name__) for name, s, box in EARLY_STOP_GRIDS
+              for build in (derivative_per_direction, derivative_uniform)
+              if isinstance(_grid_or_error(build, named_word(name), s, box, horizon=300), str)]
+    assert failed == [("sturmian", (12, 3), "derivative_uniform")]
+
+
+# Per word, a block size and directions q mapped to (top, edge): the
+# (top + 2)-th occurrence of the prefix block along q is at multiplier
+# edge, on either side of the chunk ends 16 and 32.
+CHUNK_EDGES = {
+    "surd-not-ssurdo-2x2": ((1, 2), {(1, 1): (5, 15), (0, 1): (4, 16), (1, 3): (11, 17),
+                                     (1, 0): (10, 32)}),
+    "ssurdo-3x3": ((2, 1), {(1, 0): (4, 15), (3, 2): (15, 16), (3, 1): (16, 17),
+                            (0, 1): (31, 32)}),
+    "sturmian": ((1, 1), {(2, 1): (6, 15), (1, 1): (7, 16), (3, 2): (7, 17), (1, 0): (12, 32)}),
+    "toeplitz-random": ((1, 2), {(1, 3): (8, 15), (0, 1): (6, 16), (3, 1): (9, 17),
+                                 (1, 0): (14, 32)}),
+}
+
+
+@pytest.mark.parametrize("piece", [None, 10])
+@pytest.mark.parametrize("name", sorted(CHUNK_EDGES))
+def test_early_stop_at_the_chunk_edges(name, piece):
+    """A direction whose last needed occurrence is at 15, 16, 17 or 32
+    keeps the return words of the full-horizon reader and reads up to the
+    end of the chunk that holds it (16, 32, 32 and 64), alone and in one
+    family, with the slice cap at its default and at 10 multipliers of one
+    direction (which cuts every chunk into pieces)."""
+    w, (s, edges), horizon = named_word(name), CHUNK_EDGES[name], 100
+    for q, (top, edge) in edges.items():
+        assert reference_occurrences(w, q, s, horizon)[top + 1] == edge
+    lines = {q: top for q, (top, _) in edges.items()}
+    cap = lattice._SLICE_LETTERS if piece is None else piece * math.prod(s)
+    expected = full_horizon_return_words(w, s, lines, horizon)
+    for family in [lines, *({q: top} for q, top in lines.items())]:
+        recorded, reads = record_reads()
+        with mock.patch.object(WordSource, "letters_on_lines", recorded), \
+                mock.patch.object(lattice, "_SLICE_LETTERS", cap):
+            got = derive._return_words(w, s, family, horizon)
+        assert got == {q: expected[q] for q in family}
+        assert max(len(p) * len(q) * len(e) for p, q, e in reads) <= cap
+        read = {(q, ell) for _, steps, ells in reads for q in steps for ell in ells}
+        assert read == {(q, ell) for q in family for ell in range(chunk_end(edges[q][1], 101))}
+
+
+def test_return_words_along_reads_to_the_horizon():
+    """With no top, a direction reads every multiplier of the horizon."""
+    recorded, reads = record_reads()
+    with mock.patch.object(WordSource, "letters_on_lines", recorded):
+        segments, _ = return_words_along(named_word("surd-not-ssurdo-2x2"), (1, 1), (1, 2), 300)
+    assert {ell for _, _, ells in reads for ell in ells} == set(range(301))
+    assert segments == reference_return_words(named_word("surd-not-ssurdo-2x2"), (1, 1),
+                                              (1, 2), 300)
 
 
 @pytest.mark.parametrize("argv, message, line_letters", [

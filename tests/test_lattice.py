@@ -291,7 +291,7 @@ def test_builder_calls_stay_within_the_letter_cap(shape):
     assert sorted(read) == sorted((p, q, ell) for p in starts for q in steps for ell in range(n))
 
 
-@given(rows=st.integers(0, 12), n=st.integers(1, 60), per=st.integers(1, 20),
+@given(rows=st.integers(0, 12), n=st.integers(0, 60), per=st.integers(1, 20),
        cap=st.integers(1, 400), align=st.sampled_from([1, 8]))
 def test_read_slices_cover_the_family_once_within_the_cap(rows, n, per, cap, align):
     """Every (row, multiplier) is in one piece, in row-major order; a piece
