@@ -149,18 +149,16 @@ def return_words_along(
     return segments, CodeTable(tuple(dict.fromkeys(segments)), s, w.alphabet_size)
 
 
-def _box_lines(box: Vector) -> dict[Vector, int]:
-    """Coprime directions hitting the box, mapped to the largest multiplier
-    a box cell needs on that line."""
-    lines: dict[Vector, int] = {}
+def _box_cells(box: Vector) -> list[tuple[Vector | None, int]]:
+    """Each cell of the box in iter_box order as (q, g), q coprime and the
+    cell g*q; (None, 0) at the origin.  Along each q, g grows in this order,
+    so {q: g for q, g in cells if q} maps each direction, in order of first
+    appearance, to the largest multiplier the box needs on its line."""
+    cells = []
     for p in iter_box(box):
-        if not any(p):
-            continue
         g = math.gcd(*p)
-        q = tuple(c // g for c in p)
-        if g > lines.get(q, 0):
-            lines[q] = g
-    return lines
+        cells.append((tuple(c // g for c in p), g) if g else (None, 0))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -190,19 +188,6 @@ class DerivativeWord:
         return self._grid.to_nested()
 
 
-def _grid_codes(box: Vector, origin: int, code_at) -> tuple[int, ...]:
-    """code_at(q, g) at every nonzero cell g*q of the box (q coprime), the
-    origin code at the origin."""
-    codes = []
-    for p in iter_box(box):
-        if not any(p):
-            codes.append(origin)
-            continue
-        g = math.gcd(*p)
-        codes.append(code_at(tuple(c // g for c in p), g))
-    return tuple(codes)
-
-
 def derivative_per_direction(
     w: WordSource,
     size: Sequence[int],
@@ -215,12 +200,13 @@ def derivative_per_direction(
     """
     s = tuple(size)
     box = tuple(box)
-    per_line = _return_words(w, s, _box_lines(box), horizon)
+    cells = _box_cells(box)
+    per_line = _return_words(w, s, {q: g for q, g in cells if q}, horizon)
     tables = {
         q: CodeTable(tuple(dict.fromkeys(segs)), s, w.alphabet_size)
         for q, segs in per_line.items()
     }
-    codes = _grid_codes(box, 0, lambda q, g: tables[q].code_of(per_line[q][g]))
+    codes = tuple(tables[q].code_of(per_line[q][g]) if q else 0 for q, g in cells)
     return DerivativeWord(PER_DIRECTION, s, box, codes, tables)
 
 
@@ -247,10 +233,14 @@ def derivative_uniform(
         scan_box = tuple(scan_box)
         if len(scan_box) != len(box) or any(a < b for a, b in zip(scan_box, box)):
             raise ValueError(f"scan box {scan_box} does not contain grid box {box}")
-    per_line = _return_words(w, s, _box_lines(scan_box), horizon)
+    cells = _box_cells(scan_box)
+    per_line = _return_words(w, s, {q: g for q, g in cells if q}, horizon)
     order = dict.fromkeys(rw for q in sorted(per_line) for rw in per_line[q])
     table = CodeTable(tuple(order), s, w.alphabet_size)
-    codes = _grid_codes(box, UNDEFINED, lambda q, g: table.code_of(per_line[q][g]))
+    # the grid box is the corner of the scan box at the origin
+    corner = np.arange(len(cells)).reshape(scan_box[::-1])[tuple(map(slice, box[::-1]))]
+    codes = tuple(table.code_of(per_line[q][g]) if q else UNDEFINED
+                  for q, g in (cells[i] for i in corner.ravel().tolist()))
     return DerivativeWord(UNIFORM, s, box, codes, {None: table})
 
 

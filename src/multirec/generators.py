@@ -303,20 +303,29 @@ class Morphism:
         return f"Morphism(k={self.alphabet_size}, {shape})"
 
 
-def morphism_to_json(m: Morphism) -> dict:
-    return {"k": m.alphabet_size,
-            "dims": list(m.dims),
-            "images": {str(b): m.images[b].to_nested() for b in range(m.alphabet_size)}}
-
-
-def morphism_from_json(data: dict) -> Morphism:
+def morphism_from_json(data) -> Morphism:
+    """The morphism of a parsed morphism file, an object {"k": k, "dims":
+    [s_1, ...], "images": {"0": nested list, ...}}: a missing or malformed
+    field raises InvalidInput naming it."""
+    if not isinstance(data, dict):
+        raise InvalidInput("the morphism file is not an object with 'k', 'dims' and 'images'")
+    what = "'k'"
     try:
-        k, dims, nested = int(data["k"]), tuple(int(s) for s in data["dims"]), data["images"]
-        images = [FiniteWord.from_nested(nested[str(b)]) for b in range(k)]
-    except KeyError as exc:
-        key = exc.args[0]
-        raise InvalidInput(f"the morphism file has no {key!r}" if key in ("k", "dims", "images")
-                           else f"the morphism file has no image of letter {key}")
+        k = int(data["k"])
+        what = "'dims'"
+        dims = tuple(int(s) for s in data["dims"])
+        what = "'images'"
+        nested = data["images"]
+        if not isinstance(nested, dict):
+            raise TypeError("images are keyed by letter")
+        images = []
+        for b in range(k):
+            what = f"image of letter {b}"
+            images.append(FiniteWord.from_nested(nested[str(b)]))
+    except KeyError:
+        raise InvalidInput(f"the morphism file has no {what}") from None
+    except (TypeError, ValueError):
+        raise InvalidInput(f"the morphism file has a malformed {what}") from None
     for b, img in enumerate(images):
         if img.size != dims:
             raise ValueError(f"image of {b} has size {img.size}, declared {dims}")

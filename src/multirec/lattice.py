@@ -127,31 +127,13 @@ class FiniteWord:
     @classmethod
     def from_nested(cls, nested) -> "FiniteWord":
         """Build from nested lists, outermost index = last coordinate
-        (for d = 2: a list of rows, bottom row first)."""
-        size = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            size.append(len(probe))
-            probe = probe[0]
-        size.reverse()
-
-        def fn(p: Vector) -> int:
-            v = nested
-            for c in reversed(p):
-                v = v[c]
-            return v
-
-        return cls.from_function(size, fn)
+        (for d = 2: a list of rows, bottom row first).  Object arrays keep
+        every int exact; a ragged nesting raises ValueError."""
+        return cls(np.shape(nested)[::-1], np.array(nested, dtype=object).ravel())
 
     def to_nested(self):
         """Inverse of from_nested."""
-
-        def rec(axis: int, partial: tuple) -> object:
-            if axis < 0:
-                return self[partial]
-            return [rec(axis - 1, (i, *partial)) for i in range(self.size[axis])]
-
-        return rec(self.dimension - 1, ())
+        return np.array(self.cells, dtype=object).reshape(self.size[::-1]).tolist()
 
     def flat_index(self, p: Sequence[int]) -> int:
         idx = 0

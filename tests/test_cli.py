@@ -12,8 +12,8 @@ import multirec
 from multirec import cli, morphic
 from multirec.cli import _MAX_LETTERS, _MAX_LINES, _MAX_SCAN_LETTERS, _check_budget, main
 from multirec.figures import _fixture
-from multirec.generators import WORD_NAMES, Morphism, morphism_to_json, named_word
-from multirec.lattice import FiniteWord, WordSource
+from multirec.generators import WORD_NAMES, Morphism, named_word
+from multirec.lattice import WordSource
 from multirec.recurrence import RecurrenceBudget
 from multirec.render import read_grid_fixture, to_text
 from multirec.rotation import sturmian_spec
@@ -531,8 +531,8 @@ def test_check_json_serialises_gaps_as_ints(capsys):
 
 def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads):
     path = tmp_path / "flat.json"
-    flat = Morphism([FiniteWord((1, 2), (0, 1)), FiniteWord((1, 2), (1, 0))])
-    path.write_text(json.dumps(morphism_to_json(flat)))
+    flat = {"k": 2, "dims": [1, 2], "images": {"0": [[0], [1]], "1": [[1], [0]]}}
+    path.write_text(json.dumps(flat))
     code, out, err = run(capsys, "generate", "--morphism", str(path), "--letter", "0", "--box", "4x4")
     assert code == 1
     assert out == ""
@@ -540,17 +540,29 @@ def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads
 
 
 @pytest.mark.parametrize("data, field", [
-    ({}, "'k'"),
-    ({"k": 2}, "'dims'"),
-    ({"k": 2, "dims": [2, 2]}, "'images'"),
-    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]]}}, "image of letter 1"),
-], ids=["k", "dims", "images", "image-of-1"])
+    ({}, "has no 'k'"),
+    ({"k": 2}, "has no 'dims'"),
+    ({"k": 2, "dims": [2, 2]}, "has no 'images'"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]]}}, "has no image of letter 1"),
+    ([], "is not an object with 'k', 'dims' and 'images'"),
+    ({"k": "two", "dims": [2, 2], "images": {}}, "has a malformed 'k'"),
+    ({"k": 2, "dims": 2, "images": {}}, "has a malformed 'dims'"),
+    ({"k": 2, "dims": [2, 2], "images": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]},
+     "has a malformed 'images'"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1]], "1": [[1, 0], [0, 1]]}},
+     "has a malformed image of letter 0"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]], "1": [[0, 1], [1, 0, 1]]}},
+     "has a malformed image of letter 1"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]], "1": [[0, 1], 1]}},
+     "has a malformed image of letter 1"),
+], ids=["k", "dims", "images", "image-of-1", "list", "k-type", "dims-type", "images-list",
+        "short-row", "long-row", "mixed-depth"])
 def test_a_morphism_file_without_a_field_exits_1_naming_it(tmp_path, capsys, no_reads, data, field):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "generate", "--morphism", str(path), "--box", "4x4")
     assert (code, out) == (1, "")
-    assert err == f"multirec: error: the morphism file has no {field}\n"
+    assert err == f"multirec: error: the morphism file {field}\n"
 
 
 # A derive, a check, a usage error, a pgm render, a classify and the help,

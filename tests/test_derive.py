@@ -184,6 +184,20 @@ def test_scan_box_must_contain_the_grid():
         derivative_uniform(w, (1, 2), (4, 4), scan_box=(5,))
 
 
+@pytest.mark.parametrize("word, size, box, scan_box", [
+    (lambda: preset_word("surd-not-ssurdo-2x2"), (1, 2), (6, 3), (9, 5)),
+    (lambda: gcd_word(thue_morse_word(), 3), (1, 1, 1), (3, 2, 1), (4, 3, 2)),
+], ids=["2d", "3d"])
+def test_a_grid_is_the_corner_of_its_scan_box_grid(word, size, box, scan_box):
+    """Under a scan box that is not a cube, the uniform grid codes each cell
+    as the scan box's own grid does."""
+    w = word()
+    whole = derivative_uniform(w, size, scan_box, scan_box=scan_box)
+    corner = derivative_uniform(w, size, box, scan_box=scan_box)
+    assert corner.tables == whole.tables
+    assert corner.codes == tuple(whole.code_at(p) for p in iter_box(box))
+
+
 @pytest.mark.parametrize("derive, error", [
     (lambda w: return_words_along(w, (0, 0), (1, 1), 20), DegenerateDirection),
     (lambda w: return_words_along(w, (1, 0), (0, 2), 20), InvalidInput),
@@ -263,6 +277,7 @@ ORACLE_CASES = {
     "toeplitz-random-0": (lambda: named_word("toeplitz-random", seed=0), (2, 2), (5, 5), 200),
     "toeplitz-random-7": (lambda: named_word("toeplitz-random", seed=7), (2, 1), (6, 4), 200),
     "gcd-thue-morse": (lambda: named_word("gcd-thue-morse"), (1, 1), (6, 6), 64),
+    "gcd-thue-morse-3d": (lambda: gcd_word(thue_morse_word(), 3), (1, 1, 1), (4, 3, 2), 64),
     "thue-morse": (lambda: named_word("thue-morse"), (3,), (30,), 200),
     "no-builder": (lambda: _no_builder("surd-not-ssurdo-2x2"), (2, 1), (5, 5), 100),
 }

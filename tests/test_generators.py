@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,6 @@ from multirec.generators import (
     gcd_word,
     load_preset,
     morphism_from_json,
-    morphism_to_json,
     named_word,
     preset_word,
     thue_morse,
@@ -91,9 +92,14 @@ def test_unknown_preset_is_reported():
 
 
 def test_morphism_json_round_trip():
+    """Each preset file's images come back from the loaded morphism's blocks."""
     for name in PRESET_NAMES:
+        data = json.loads(resources.files("multirec.presets").joinpath(f"{name}.json")
+                          .read_text("utf-8"))
         phi = load_preset(name)
-        assert morphism_from_json(morphism_to_json(phi)) == phi
+        assert morphism_from_json(data) == phi
+        assert all(data["images"][str(b)] == phi.image(b).to_nested()
+                   for b in range(phi.alphabet_size))
 
 
 def test_prolongability_of_the_rectangular_preset():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from multirec import lattice
 from multirec.errors import DegenerateDirection, DimensionError, InvalidInput
@@ -54,11 +54,44 @@ def test_from_nested_is_bottom_row_first():
     assert w.to_nested() == [[1, 0], [0, 1]]
 
 
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
-       st.integers(0, 97))
-def test_nested_round_trip(size, salt):
-    w = FiniteWord.from_function(size, lambda p: (sum(p) + salt) % 5)
-    assert FiniteWord.from_nested(w.to_nested()) == w
+def nested_reference(w: FiniteWord):
+    """to_nested by recursion over the axes, last coordinate outermost."""
+    def rec(axis: int, partial: tuple):
+        if axis < 0:
+            return w[partial]
+        return [rec(axis - 1, (i, *partial)) for i in range(w.size[axis])]
+
+    return rec(w.dimension - 1, ())
+
+
+@st.composite
+def blocks(draw):
+    """Blocks of dimension 1 to 3 whose cells mix 2^63, -1 and ints past 2^64."""
+    size = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple))
+    cell = st.one_of(st.sampled_from([2**63, -1, 0, 1]), st.integers(-2**70, 2**70))
+    return FiniteWord(size, draw(st.lists(cell, min_size=math.prod(size),
+                                          max_size=math.prod(size))))
+
+
+@given(blocks())
+@example(FiniteWord((2, 2), (2**63, -1, 2**64 + 1, 0)))
+def test_nested_round_trip(w):
+    nested = w.to_nested()
+    # repr tells 2**63 from the float 9.223372036854776e+18 that equals it
+    assert repr(nested) == repr(nested_reference(w))
+    assert FiniteWord.from_nested(nested) == w
+
+
+@pytest.mark.parametrize("nested", [
+    [[0, 1], [1]],
+    [[0, 1], [1, 0, 1]],
+    [[0, 1], 1],
+    [0, [1]],
+    [[[0], [1]], [[0], 1]],
+], ids=["short", "long", "mixed-depth", "leaf-first", "mixed-depth-3d"])
+def test_from_nested_refuses_a_ragged_nesting(nested):
+    with pytest.raises(ValueError):
+        FiniteWord.from_nested(nested)
 
 
 def test_normalize_direction_divides_out_gcd():
