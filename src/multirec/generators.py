@@ -303,6 +303,14 @@ class Morphism:
         return f"Morphism(k={self.alphabet_size}, {shape})"
 
 
+def _integer(value) -> int:
+    """The value, if a JSON integer: int() would truncate a float and read
+    a numeric string or a bool."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def morphism_from_json(data) -> Morphism:
     """The morphism of a parsed morphism file, an object {"k": k, "dims":
     [s_1, ...], "images": {"0": nested list, ...}}: a missing or malformed
@@ -311,9 +319,9 @@ def morphism_from_json(data) -> Morphism:
         raise InvalidInput("the morphism file is not an object with 'k', 'dims' and 'images'")
     what = "'k'"
     try:
-        k = int(data["k"])
+        k = _integer(data["k"])
         what = "'dims'"
-        dims = tuple(int(s) for s in data["dims"])
+        dims = tuple(map(_integer, data["dims"]))
         what = "'images'"
         nested = data["images"]
         if not isinstance(nested, dict):
@@ -322,6 +330,7 @@ def morphism_from_json(data) -> Morphism:
         for b in range(k):
             what = f"image of letter {b}"
             images.append(FiniteWord.from_nested(nested[str(b)]))
+            list(map(_integer, np.array(nested[str(b)], dtype=object).ravel()))
     except KeyError:
         raise InvalidInput(f"the morphism file has no {what}") from None
     except (TypeError, ValueError):

@@ -7,7 +7,9 @@ gap seen between occurrences (counting the tail up to the horizon), and
 the start of the line.  ``GAP_EXCEEDS_CLAIM`` is reserved for scans run
 against a caller-supplied bound and is always a hard failure.  A report
 keeps its occurrences as the packed bit row the scan wrote, plus their
-count and gaps; ``occurrence_indices`` returns them as a list.
+count and gaps; ``occurrence_indices`` returns them as a list.  A sweep
+turns all its rows into counts and gaps in one numpy pass, then builds a
+report for every row (urd) or only for each size's worst (surd, ssurdo).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from operator import add
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -133,12 +135,12 @@ def occurrence_indices(
 
 def _row(w: WordSource, q: Vector, size: Vector, p0: Vector, horizon: int) -> np.ndarray:
     """The bit row of one block's occurrences: ``_scan`` with one report."""
-    return _scan(w, p0, [q], [size], 0, horizon)[0][0, 0]
+    return _scan(w, p0, [q], [size], 0, horizon)[0, 0, 0]
 
 
 def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector],
-          origin_bound: int, horizon: int) -> list[np.ndarray]:
-    """found[i][a, j]: the multipliers ell <= horizon at which the block of
+          origin_bound: int, horizon: int) -> np.ndarray:
+    """found[i, a, j]: the multipliers ell <= horizon at which the block of
     size sizes[i] at corner + origins[a] reappears along dirs[j], as a row
     of bits in ``np.packbits`` order; the origins are [0, origin_bound]^d in
     product order.
@@ -156,7 +158,7 @@ def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector]
     starts = list(itertools.product(*map(range, corner, map(add, corner, extent))))
     span = (origin_bound + 1,) * len(corner)
     origins = span[0] ** len(span)
-    found = [np.zeros((origins, len(dirs), -(-n // 8)), dtype=np.uint8) for _ in sizes]
+    found = np.zeros((len(sizes), origins, len(dirs), -(-n // 8)), dtype=np.uint8)
     for js, ks in read_slices(len(dirs), n, len(starts), align=8):
         letters = w.letters_on_lines(starts, dirs[js], range(n)[ks])
         if js.start == ks.start == 0:
@@ -185,12 +187,49 @@ def _and_cells(table: np.ndarray, size: Vector, origins: Vector) -> np.ndarray:
     return mask
 
 
-def _claim_value(claim: Claim, size: Vector) -> int | None:
-    if claim is None:
-        return None
-    if callable(claim):
-        return claim(size)
-    return claim
+def _gaps(rows: np.ndarray, horizon: int) -> np.ndarray:
+    """(count, internal gap, tail gap) of every bit row of a 2-D array, as a
+    3 x rows int64 array, the internal gap 0 below two occurrences.  Bit 0
+    of every row is set (ell = 0 always matches), so in the flat nonzero of
+    a group of rows row i starts at i * n, and the step from its last
+    occurrence to (i + 1) * n is its tail gap + 1; zeroed, that step ends
+    its internal steps.  The groups are whole rows cut by ``read_slices`` at
+    8 letters a bit, 2^16 bits at the default cap: at a full slice the int64
+    arrays outgrew the 2x2 survey's small match tables in peak memory, and
+    at 2^14 bits the calls per group cost more than per-row reductions."""
+    n = horizon + 1
+    out = np.empty((3, len(rows)), dtype=np.int64)
+    for rs, _ in read_slices(len(rows), 1, 8 * n):
+        k = rs.stop - rs.start
+        # nonzero takes its fast path on bool, several times faster than on uint8
+        flat = np.flatnonzero(np.unpackbits(rows[rs], axis=-1, count=n).view(bool))
+        first = flat.searchsorted(np.arange(k) * n)
+        steps = np.diff(flat, append=k * n)
+        last = np.append(first[1:], len(flat)) - 1
+        out[0, rs] = last - first + 1
+        out[2, rs] = steps[last] - 1
+        steps[last] = 0
+        out[1, rs] = np.maximum.reduceat(steps, first)
+    return out
+
+
+def _ranks(gaps, horizon: int, claim: Claim, size: Vector):
+    """Each report's severity, the worst largest: its max gap; horizon + 1
+    past a lone occurrence, which no horizon sees recur; horizon + 2 where
+    that breaks the claimed bound.  ``_report`` reads the verdict off it.
+    Plain operators serve arrays and one report's ints, at no numpy cost."""
+    count, internal, tail = gaps
+    bound = claim(size) if callable(claim) else claim
+    # max(internal, tail), + 1 past a lone occurrence (internal 0, tail horizon)
+    reach = internal + (tail - internal) * (tail > internal) + (count < 2)
+    return reach if bound is None else reach + (horizon + 2 - reach) * (reach > bound)
+
+
+def _report(p: Vector, q: Vector, s: Vector, row: np.ndarray, count: int, internal: int,
+            tail: int, rank: int, horizon: int) -> GapReport:
+    verdicts = (BOUNDED_WITNESSED, NO_RECURRENCE_IN_HORIZON, GAP_EXCEEDS_CLAIM)
+    return GapReport(q, s, p, count, internal if count > 1 else None, tail,
+                     verdicts[max(rank - horizon, 0)], row.tobytes())
 
 
 def gap_report(
@@ -204,67 +243,49 @@ def gap_report(
     q = tuple(direction)
     s = tuple(size)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
-    return _report(q, s, p0, _row(w, q, s, p0, horizon), horizon, claim)
-
-
-def _report(q: Vector, s: Vector, p0: Vector, row: np.ndarray, horizon: int,
-            claim: Claim) -> GapReport:
-    """The gap report of the occurrences set in a row of bits."""
-    bound = _claim_value(claim, s)
+    row = _row(w, q, s, p0, horizon)
     occ = _unpacked(row, horizon)
-    internal = (occ[1:] - occ[:-1]).max().item() if len(occ) > 1 else None
-    tail = horizon - occ[-1].item()
-    verdict = NO_RECURRENCE_IN_HORIZON if internal is None else BOUNDED_WITNESSED
-    # Past a lone occurrence the gap is longer than the horizon: it refutes
-    # any claimed bound the horizon can see past.
-    if bound is not None and (horizon + 1 if internal is None else max(internal, tail)) > bound:
-        verdict = GAP_EXCEEDS_CLAIM
-    return GapReport(q, s, p0, len(occ), internal, tail, verdict, row.tobytes())
+    gaps = (len(occ), np.diff(occ).max(initial=0).item(), horizon - occ[-1].item())
+    return _report(p0, q, s, row, *gaps, _ranks(gaps, horizon, claim, s), horizon)
 
 
-def _sweep(
-    w: WordSource,
-    budget: RecurrenceBudget | None,
-    sizes: Iterable[Sequence[int]] | None,
-    claim: Claim,
-    origin_bound: int,
-) -> Iterator[tuple[Vector, list[GapReport]]]:
-    """Per block size, the reports of every origin in [0, origin_bound]^d
-    (outer) along every enumerated direction (inner).  All sizes share one
-    ``_scan``, so every line is read once."""
+def _sweep(w: WordSource, budget: RecurrenceBudget | None, sizes: Iterable[Sequence[int]] | None,
+           claim: Claim, origin_bound: int, keep: Callable) -> list:
+    """Per block size, ``keep(size, keys, rows, gaps, horizon, claim)``, keys
+    the (origin, direction) of every report (origins in [0, origin_bound]^d
+    outer), rows their bit rows and gaps their ``_gaps``.  All sizes share
+    one ``_scan``, so every line is read once, and one ``_gaps``; ``keep``
+    builds only the reports it keeps, from those numbers."""
     budget = budget or RecurrenceBudget()
     d = w.dimension
-    size_list = (
-        enumerate_sizes(d, budget.size_bound)
-        if sizes is None
-        else [tuple(s) for s in sizes]
-    )
+    size_list = enumerate_sizes(d, budget.size_bound) if sizes is None else list(map(tuple, sizes))
     if not size_list:
-        return
+        return []
     dirs = enumerate_directions(d, budget.direction_bound)
-    reports = list(itertools.product(itertools.product(range(origin_bound + 1), repeat=d), dirs))
+    keys = list(itertools.product(itertools.product(range(origin_bound + 1), repeat=d), dirs))
     found = _scan(w, (0,) * d, dirs, size_list, origin_bound, budget.horizon)
-    for s, bits in zip(size_list, found):
-        yield s, [
-            _report(q, s, p, row, budget.horizon, claim)
-            for (p, q), row in zip(reports, bits.reshape(-1, bits.shape[-1]))
-        ]
+    found = found.reshape(len(size_list), len(keys), -1)
+    gaps = _gaps(found.reshape(-1, found.shape[-1]), budget.horizon)
+    return [keep(s, keys, rows, g, budget.horizon, claim) for s, rows, g in
+            zip(size_list, found, gaps.reshape(3, len(size_list), -1).transpose(1, 0, 2))]
 
 
-def _severity(r: GapReport) -> tuple[int, int]:
-    """A broken claim outranks a missing recurrence, which outranks any gap."""
-    if r.verdict == GAP_EXCEEDS_CLAIM:
-        return (2, 0)
-    if r.max_gap is None:
-        return (1, 0)
-    return (0, r.max_gap)
+def _reports(s: Vector, keys: list[tuple[Vector, Vector]], rows: np.ndarray,
+             gaps: np.ndarray, horizon: int, claim: Claim) -> list[GapReport]:
+    ranks = _ranks(gaps, horizon, claim, s)
+    return [_report(p, q, s, row, *numbers, horizon)
+            for (p, q), row, *numbers in zip(keys, rows, *gaps.tolist(), ranks.tolist())]
 
 
-def _summarize(size: Vector, reports: list[GapReport]) -> SizeSummary:
-    """The first of the worst reports; its verdict is the family's."""
-    gaps = [r.max_gap for r in reports]
-    worst = max(reports, key=_severity)
-    return SizeSummary(size, None if None in gaps else max(gaps), worst, worst.verdict)
+def _summarize(s: Vector, keys: list[tuple[Vector, Vector]], rows: np.ndarray,
+               gaps: np.ndarray, horizon: int, claim: Claim) -> SizeSummary:
+    """The first of the worst reports, the only one built; its verdict is
+    the family's, and the bound is None if any row has a lone occurrence."""
+    ranks = _ranks(gaps, horizon, claim, s)
+    i = int(ranks.argmax())
+    worst = _report(*keys[i], s, rows[i], *gaps[:, i].tolist(), int(ranks[i]), horizon)
+    bound = None if gaps[0].min() < 2 else int(np.maximum(gaps[1], gaps[2]).max())
+    return SizeSummary(s, bound, worst, worst.verdict)
 
 
 def check_urd_empirical(
@@ -274,7 +295,7 @@ def check_urd_empirical(
     claim: Claim = None,
 ) -> list[GapReport]:
     """One report per (direction, size) pair, origin fixed at zero."""
-    return [r for _, reports in _sweep(w, budget, sizes, claim, 0) for r in reports]
+    return [r for reports in _sweep(w, budget, sizes, claim, 0, _reports) for r in reports]
 
 
 def check_surd_empirical(
@@ -284,7 +305,7 @@ def check_surd_empirical(
     claim: Claim = None,
 ) -> list[SizeSummary]:
     """Per size, the sup of gaps over all directions (origin zero)."""
-    return [_summarize(s, reports) for s, reports in _sweep(w, budget, sizes, claim, 0)]
+    return _sweep(w, budget, sizes, claim, 0, _summarize)
 
 
 def check_ssurdo_empirical(
@@ -295,8 +316,7 @@ def check_ssurdo_empirical(
 ) -> list[SizeSummary]:
     """Per size, the sup of gaps over directions and origins."""
     budget = budget or RecurrenceBudget()
-    sweep = _sweep(w, budget, sizes, claim, budget.origin_bound)
-    return [_summarize(s, reports) for s, reports in sweep]
+    return _sweep(w, budget, sizes, claim, budget.origin_bound, _summarize)
 
 
 def sample_grid(w: WordSource, shape: Sequence[int]) -> np.ndarray:

@@ -555,8 +555,22 @@ def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads
      "has a malformed image of letter 1"),
     ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]], "1": [[0, 1], 1]}},
      "has a malformed image of letter 1"),
+    # int() would truncate a float and read a numeric string or a bool
+    ({"k": 2.7, "dims": ["2", 2.2], "images": {"0": [[0, 0], [0, 0.9]], "1": [[1, 1.5], [1, 0]]}},
+     "has a malformed 'k'"),
+    ({"k": True, "dims": [2, 2], "images": {}}, "has a malformed 'k'"),
+    ({"k": 2, "dims": ["2", 2], "images": {}}, "has a malformed 'dims'"),
+    ({"k": 2, "dims": [2, 2.0], "images": {}}, "has a malformed 'dims'"),
+    ({"k": 2, "dims": [2, True], "images": {}}, "has a malformed 'dims'"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0.9]], "1": [[1, 0], [0, 1]]}},
+     "has a malformed image of letter 0"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]], "1": [[1, "0"], [0, 1]]}},
+     "has a malformed image of letter 1"),
+    ({"k": 2, "dims": [2, 2], "images": {"0": [[0, 1], [1, 0]], "1": [[1, False], [0, 1]]}},
+     "has a malformed image of letter 1"),
 ], ids=["k", "dims", "images", "image-of-1", "list", "k-type", "dims-type", "images-list",
-        "short-row", "long-row", "mixed-depth"])
+        "short-row", "long-row", "mixed-depth", "k-float", "k-bool", "dims-string",
+        "dims-float", "dims-bool", "cell-float", "cell-string", "cell-bool"])
 def test_a_morphism_file_without_a_field_exits_1_naming_it(tmp_path, capsys, no_reads, data, field):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))

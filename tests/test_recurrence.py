@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multirec import lattice
 from multirec.errors import DegenerateDirection, DimensionError, InvalidInput
@@ -27,6 +27,8 @@ from multirec.recurrence import (
     NO_RECURRENCE_IN_HORIZON,
     GapReport,
     RecurrenceBudget,
+    _gaps,
+    _reports,
     _summarize,
     check_ssurdo_empirical,
     check_surd_empirical,
@@ -40,6 +42,7 @@ from multirec.recurrence import (
     smallest_covering_window,
 )
 from multirec.rotation import sturmian_spec
+from test_sweep_oracle import reference_summary
 
 
 def beacons(period: int) -> WordSource:
@@ -222,32 +225,84 @@ def test_ssurdo_summary_ranges_over_origins():
     assert summary.bound <= 3
 
 
-def _report(n: int, max_gap: int | None, verdict: str) -> GapReport:
-    """A hand-built report whose max gap is its internal gap, over a row
-    of occurrences at 0 and max_gap; the direction (n, 1) tells reports
-    apart."""
-    hits = np.zeros(64, dtype=bool)
-    hits[[0, max_gap or 0]] = True
-    return GapReport((n, 1), (1, 1), (0, 0), 1 if max_gap is None else 2, max_gap, 0, verdict,
-                     np.packbits(hits).tobytes())
+def _summary(gaps: list[int | None], claim=None):
+    """The summary of hand-built rows to horizon 63, one per entry of gaps:
+    a lone occurrence for None, else occurrences at 0 and from g on, so
+    that g is the row's max gap; the direction (n, 1) tells rows apart."""
+    bits = np.zeros((len(gaps), 64), dtype=np.uint8)
+    bits[:, 0] = 1
+    for row, g in zip(bits, gaps):
+        if g is not None:
+            row[g:] = 1
+    rows = np.packbits(bits, axis=-1)
+    keys = [((0, 0), (n, 1)) for n in range(len(gaps))]
+    s = _summarize((1, 1), keys, rows, _gaps(rows, 63), 63, claim)
+    return s.worst.direction[0], s.worst.max_gap, s.bound, s.verdict
 
 
 def test_summary_picks_the_first_worst_report():
-    exceeds = [_report(0, 4, BOUNDED_WITNESSED), _report(1, None, NO_RECURRENCE_IN_HORIZON),
-               _report(2, 9, GAP_EXCEEDS_CLAIM), _report(3, None, GAP_EXCEEDS_CLAIM),
-               _report(4, 12, GAP_EXCEEDS_CLAIM)]
-    s = _summarize((1, 1), exceeds)
-    assert (s.worst, s.bound, s.verdict) == (exceeds[2], None, GAP_EXCEEDS_CLAIM)
+    # under a claim of 8, the gap of 9, the lone occurrence (no recurrence
+    # within 63 > 8) and the gap of 12 all break it: the first one wins
+    assert _summary([4, 9, None, 12], claim=8) == (1, 9, None, GAP_EXCEEDS_CLAIM)
+    assert _summary([4, None, 9], claim=lambda s: 8) == (1, None, None, GAP_EXCEEDS_CLAIM)
+    assert _summary([7, None, 50, None]) == (1, None, None, NO_RECURRENCE_IN_HORIZON)
+    assert _summary([3, 8, 5, 8]) == (1, 8, 8, BOUNDED_WITNESSED)
+    assert _summary([3, 8, 5, 8], claim=8) == (1, 8, 8, BOUNDED_WITNESSED)
 
-    missing = [_report(0, 7, BOUNDED_WITNESSED), _report(1, None, NO_RECURRENCE_IN_HORIZON),
-               _report(2, 50, BOUNDED_WITNESSED), _report(3, None, NO_RECURRENCE_IN_HORIZON)]
-    s = _summarize((1, 1), missing)
-    assert (s.worst, s.bound, s.verdict) == (missing[1], None, NO_RECURRENCE_IN_HORIZON)
 
-    ties = [_report(0, 3, BOUNDED_WITNESSED), _report(1, 8, BOUNDED_WITNESSED),
-            _report(2, 5, BOUNDED_WITNESSED), _report(3, 8, BOUNDED_WITNESSED)]
-    s = _summarize((1, 1), ties)
-    assert (s.worst, s.bound, s.verdict) == (ties[1], 8, BOUNDED_WITNESSED)
+def reference_gaps(bits: list[int], horizon: int) -> tuple[int, int, int]:
+    occ = [ell for ell, b in enumerate(bits) if b]
+    return len(occ), max((b - a for a, b in zip(occ, occ[1:])), default=0), horizon - occ[-1]
+
+
+@st.composite
+def bit_rows(draw):
+    """Rows of bits to a horizon, bit 0 set: random, lone (only bit 0),
+    full, or random with the last occurrence at the horizon."""
+    horizon = draw(st.integers(0, 3) | st.integers(0, 40))
+    rows = []
+    for shape in draw(st.lists(st.sampled_from(["random", "lone", "full", "last"]),
+                               min_size=1, max_size=9)):
+        bits = [1] + draw(st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon))
+        if shape in ("lone", "full"):
+            bits[1:] = [int(shape == "full")] * horizon
+        if shape == "last":
+            bits[-1] = 1
+        rows.append(bits)
+    return horizon, rows
+
+
+@example(case=(5, [[1, 0, 0, 0, 0, 0]]), claim=5, table_cells=1)
+@example(case=(5, [[1, 0, 0, 0, 0, 0]]), claim=6, table_cells=1)
+@example(case=(0, [[1], [1], [1]]), claim=0, table_cells=1)
+@example(case=(5, [[1, 0, 1, 0, 0, 1], [1, 0, 0, 0, 0, 0], [1] * 6, [1, 1, 0, 0, 0, 0],
+                   [1, 0, 0, 0, 0, 1]]), claim=None, table_cells=100)
+@given(case=bit_rows(), claim=st.none() | st.integers(0, 45) | st.just(lambda s: 4 * s[0]),
+       table_cells=st.sampled_from([lattice._SLICE_LETTERS, 1, 100, 1000, 4000]))
+@settings(max_examples=200, deadline=None)
+def test_gaps_match_each_rows_occurrence_list(case, claim, table_cells):
+    """A narrow ``table_cells`` cuts the rows into groups of one or a few
+    (two at horizon 5 and 100 cells).  Reports and summaries follow the
+    rule of the lazy reference."""
+    horizon, bits = case
+    rows = np.packbits(np.array(bits, dtype=np.uint8), axis=-1)
+    with mock.patch.object(lattice, "_SLICE_LETTERS", table_cells):
+        gaps = _gaps(rows, horizon)
+    expected = [reference_gaps(b, horizon) for b in bits]
+    assert [tuple(g) for g in gaps.T.tolist()] == expected
+    size = (2, 1)
+    keys = [((0, 0), (n, 1)) for n in range(len(bits))]
+    bound = claim(size) if callable(claim) else claim
+    reports = []
+    for (p, q), (count, internal, tail), b in zip(keys, expected, bits):
+        # a lone occurrence refutes any bound the horizon reaches
+        reach = horizon + 1 if count == 1 else max(internal, tail)
+        verdict = (GAP_EXCEEDS_CLAIM if bound is not None and reach > bound else
+                   NO_RECURRENCE_IN_HORIZON if count == 1 else BOUNDED_WITNESSED)
+        reports.append(GapReport(q, size, p, count, internal if count > 1 else None, tail,
+                                 verdict, np.packbits(np.array(b, dtype=np.uint8)).tobytes()))
+    assert _reports(size, keys, rows, gaps, horizon, claim) == reports
+    assert _summarize(size, keys, rows, gaps, horizon, claim) == reference_summary(size, reports)
 
 
 @pytest.mark.parametrize("name", ["sierpinski", "surd-not-ssurdo-2x2"])
@@ -260,7 +315,7 @@ def test_surd_is_urd_summarised_per_size(name, horizon, direction_bound, size_bo
     grouped = itertools.groupby(check_urd_empirical(w, budget, claim=claim),
                                 key=lambda r: r.size)
     assert check_surd_empirical(w, budget, claim=claim) == [
-        _summarize(size, list(reports)) for size, reports in grouped
+        reference_summary(size, list(reports)) for size, reports in grouped
     ]
 
 

@@ -31,7 +31,7 @@ from multirec.recurrence import (
     NO_RECURRENCE_IN_HORIZON,
     GapReport,
     RecurrenceBudget,
-    _summarize,
+    SizeSummary,
     check_ssurdo_empirical,
     check_surd_empirical,
     check_urd_empirical,
@@ -77,6 +77,20 @@ def reference_report(w, q, size, p0, horizon, claim=None) -> GapReport:
     exceeds = bound is not None and max(internal, tail) > bound
     return GapReport(q, size, p0, len(occ), internal, tail,
                      GAP_EXCEEDS_CLAIM if exceeds else BOUNDED_WITNESSED, row)
+
+
+def reference_summary(size, reports) -> SizeSummary:
+    """The first of the worst reports, by the list rule: a broken claim
+    outranks a lone occurrence, which outranks any gap; the bound is the
+    largest max gap, or None if any report has a lone occurrence."""
+    def severity(r):
+        if r.verdict == GAP_EXCEEDS_CLAIM:
+            return (2, 0)
+        return (1, 0) if r.max_gap is None else (0, r.max_gap)
+
+    gaps = [r.max_gap for r in reports]
+    worst = max(reports, key=severity)
+    return SizeSummary(size, None if None in gaps else max(gaps), worst, worst.verdict)
 
 
 def reference_sweep(w, budget, sizes, claim, origin_bound):
@@ -131,8 +145,8 @@ def test_sweeps_match_the_lazy_reference(name, horizon, direction_bound, size_bo
     assert urd == [r for _, reports in at_zero for r in reports]
     assert [r.occurrences for r in urd] == [
         lazy_occurrences(w, r.direction, r.size, r.origin, horizon) for r in urd]
-    assert surd == [_summarize(s, reports) for s, reports in at_zero]
-    assert ssurdo == [_summarize(s, reports) for s, reports in
+    assert surd == [reference_summary(s, reports) for s, reports in at_zero]
+    assert ssurdo == [reference_summary(s, reports) for s, reports in
                       reference_sweep(w, budget, None, claim, origin_bound)]
 
 
@@ -148,7 +162,7 @@ def test_wide_tables_split_over_several_builder_calls(name):
     assert len(enumerate_directions(2, 2)) == 5
     assert 5 * (horizon + 1) > lattice._CALL_LETTERS
     assert check_ssurdo_empirical(w, budget, sizes) == [
-        _summarize(s, reports) for s, reports in reference_sweep(w, budget, sizes, None, 1)]
+        reference_summary(s, reports) for s, reports in reference_sweep(w, budget, sizes, None, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(WORDS))
@@ -189,7 +203,7 @@ def test_sweeps_of_a_word_translated_past_2_62(name):
     w = translate_origin(WORDS[name](), (_FAR - 30, 7))
     budget = RecurrenceBudget(40, 2, 2, 1)
     assert check_ssurdo_empirical(w, budget) == [
-        _summarize(s, reports) for s, reports in reference_sweep(w, budget, None, None, 1)]
+        reference_summary(s, reports) for s, reports in reference_sweep(w, budget, None, None, 1)]
 
 
 @pytest.mark.parametrize("slice_letters", [1, 216, 1080])
@@ -203,7 +217,7 @@ def test_tables_built_in_slices_match_the_lazy_reference(slice_letters):
     with mock.patch.object(lattice, "_SLICE_LETTERS", slice_letters):
         got = check_ssurdo_empirical(w, budget)
         report = gap_report(w, (2, 1), (3, 2), (4, 5), 130)
-    assert got == [_summarize(s, reports) for s, reports in
+    assert got == [reference_summary(s, reports) for s, reports in
                    reference_sweep(w, budget, None, None, 1)]
     assert report == reference_report(w, (2, 1), (3, 2), (4, 5), 130)
 
@@ -241,5 +255,5 @@ def test_slices_and_reads_stay_within_their_caps(slice_letters):
     letters = Counter((tuple(p), tuple(q), ell) for starts, steps, ells in calls
                       for p, q in zip(starts, steps, strict=True) for ell in ells)
     assert len(letters) == 9 * 9 * 2001 and set(letters.values()) == {1}
-    assert got == [_summarize(s, reports) for s, reports in
+    assert got == [reference_summary(s, reports) for s, reports in
                    reference_sweep(plain, budget, None, None, 1)]
