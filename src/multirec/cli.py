@@ -17,7 +17,7 @@ from .derive import UNIFORM, derivative_per_direction, derivative_uniform, direc
 from .errors import FixtureMissing, InvalidInput, MultirecError, ReturnScanFailed
 from .figures import verify_figures
 from .generators import PRESET_NAMES, Morphism, load_preset, morphism_from_json, named_word
-from .lattice import FiniteWord, WordSource, translate_origin
+from .lattice import FiniteWord, WordSource
 from .morphic import NOT_SURD, classify_2x2, non_surd_2x2_witness, survey_all_2x2
 from .recurrence import (
     BOUNDED_WITNESSED,
@@ -192,9 +192,11 @@ def cmd_extract(args) -> int:
     if args.len < 0:
         raise InvalidInput(f"bad --len {args.len}, it must be nonnegative")
     _check_read_size(f"--len {args.len} of size {args.size}", args.len * math.prod(size))
-    if args.origin:
-        w = translate_origin(w, parse_vector(args.origin, "--origin"))
-    blocks = directional_blocks(w, direction, size, args.len)
+    origin = parse_vector(args.origin, "--origin") if args.origin else None
+    for flag, text, v in (("--size", args.size, size), ("--origin", args.origin, origin)):
+        if v is not None and len(v) != w.dimension:
+            raise InvalidInput(f"bad {flag} {text!r}, the word has dimension {w.dimension}")
+    blocks = directional_blocks(w, direction, size, args.len, origin)
     emit(dump_json([b.to_nested() for b in blocks]) if args.json
          else "".join(block_text(b) for b in blocks), args.output)
     return 0

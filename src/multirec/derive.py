@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ReturnScanFailed
-from .lattice import FiniteWord, Vector, WordSource, check_scan, iter_box, read_slices
+from .lattice import FiniteWord, Vector, WordSource, check_scan, iter_box, read_slices, vec_add
 from .render import UNDEFINED
 
 PER_DIRECTION = "PER_DIRECTION"
@@ -72,12 +72,14 @@ class CodeTable:
 
 
 def directional_blocks(
-    w: WordSource, direction: Sequence[int], size: Sequence[int], count: int
+    w: WordSource, direction: Sequence[int], size: Sequence[int], count: int,
+    origin: Sequence[int] | None = None,
 ) -> list[FiniteWord]:
-    """The blocks of the given size at ell*q for ell < count, from one
-    family read of the cell lines along q."""
+    """The blocks of the given size at origin + ell*q for ell < count (the
+    origin defaults to 0), from one family read of the cell lines along q."""
     s = tuple(size)
-    columns = w.letters_on_lines(list(iter_box(s)), [direction], count)[:, 0]
+    starts = list(iter_box(s)) if origin is None else [vec_add(origin, c) for c in iter_box(s)]
+    columns = w.letters_on_lines(starts, [direction], count)[:, 0]
     return [FiniteWord(s, cells) for cells in columns.T.tolist()]
 
 

@@ -36,19 +36,23 @@ def _fixture(name: str):
     return path
 
 
-def _diff_word_grid(fixture: str, w) -> FigureReport:
-    rows, _ = read_grid_fixture(_fixture(fixture))
-    mine = sample_rows(w, (len(rows[0]), len(rows)))
+def _diff_rows(fixture: str, rows, mine, what: str) -> FigureReport:
+    """The fixture's bottom-first rows against the computed ones, cell by cell."""
     bad = [
         (x, y)
         for y, (row, my_row) in enumerate(zip(rows, mine))
         for x, (c, my_c) in enumerate(zip(row, my_row))
         if c != my_c
     ]
-    detail = f"{len(rows[0])}x{len(rows)} grid, {len(bad)} mismatches"
+    detail = f"{len(rows[0])}x{len(rows)} {what}, {len(bad)} mismatches"
     if bad:
         detail += f", first at {bad[0]}"
     return FigureReport(fixture.removeprefix("fig-").removesuffix(".txt"), not bad, detail)
+
+
+def _diff_word_grid(fixture: str, w) -> FigureReport:
+    rows, _ = read_grid_fixture(_fixture(fixture))
+    return _diff_rows(fixture, rows, sample_rows(w, (len(rows[0]), len(rows))), "grid")
 
 
 def check_preimage() -> FigureReport:
@@ -74,14 +78,7 @@ def check_toeplitz_rows() -> FigureReport:
 def check_der1() -> FigureReport:
     rows, _ = read_grid_fixture(_fixture("fig-der1.txt"))
     grid = derivative_per_direction(preset_word("surd-not-ssurdo-2x2"), (1, 2), (27, 8))
-    bad = [
-        (x, y)
-        for y in range(8)
-        for x in range(27)
-        if rows[y][x] != grid.code_at((x, y))
-    ]
-    detail = f"27x8 code grid, {len(bad)} mismatches"
-    return FigureReport("der1", not bad, detail)
+    return _diff_rows("fig-der1.txt", rows, grid.to_nested(), "code grid")
 
 
 def _uniform_grid():

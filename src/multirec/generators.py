@@ -7,9 +7,9 @@ lookup into the images of phi^m.  ``Morphism.iterate`` substitutes and
 walks no digits, so it is a reference for both.  ``named_word`` builds
 each word of ``WORD_NAMES`` from its name.  Line builders are plain
 numpy kernels over paired lines (row i of an (L, n) array holds the
-letters at starts[i] + ell * steps[i]): ``WordSource._read_lines`` hands
-them only nonempty lines inside N^d below its 2^62 reach, in calls of at
-most 2^14 letters, and reads every other line pointwise."""
+letters at starts[i] + ell * steps[i]): ``WordSource.letters_on_lines``
+hands them only nonempty lines inside N^d below its 2^62 reach, in calls of
+at most 2^14 letters, and reads every other line pointwise."""
 
 from __future__ import annotations
 

@@ -179,8 +179,8 @@ class WordSource:
     ``line_builder``, when given, reads letters along paired lines:
     ``line_builder(starts, steps, ells)`` takes int64 arrays of shapes
     (L, d), (L, d) and (n,) and returns the (L, n) int64 array whose row i
-    holds the letters at starts[i] + ell * steps[i].  ``_read_lines`` is the
-    one gate in front of it: it calls it only for lines inside N^d within
+    holds the letters at starts[i] + ell * steps[i].  ``letters_on_lines`` is
+    the one gate in front of it: it calls it only for lines inside N^d within
     reach, max(starts) + max(steps) * max(max(ells), 1) < 2^62, so every
     coordinate and product a builder forms fits in int64, and in calls of
     at most ``_CALL_LETTERS`` = 2^14 letters; callers bound only the family
@@ -222,9 +222,9 @@ class WordSource:
         int64 array of shape (len(starts), len(steps), n).
 
         ``multipliers`` is a count n (ell = 0, ..., n-1), a range, or a
-        sequence of nonnegative ells in any order.  The family is read as
-        its len(starts) * len(steps) lines, start-major, through
-        ``_read_lines``.
+        sequence of nonnegative ells in any order.  This is the one place
+        that refuses a line leaving N^d and picks the builder or pointwise
+        reads, on the Python ints of the family before any array exists.
         """
         starts = [tuple(map(int, p)) for p in starts]
         steps = [tuple(map(int, q)) for q in steps]
@@ -234,43 +234,27 @@ class WordSource:
         shape = (len(starts), len(steps), len(multipliers))
         if not math.prod(shape):
             return np.empty(shape, dtype=np.int64)
-        try:
-            starts, steps = np.array(starts, dtype=np.int64), np.array(steps, dtype=np.int64)
-        except OverflowError:  # past int64: Python ints, read pointwise
-            starts, steps = np.array(starts, dtype=object), np.array(steps, dtype=object)
-        # start-major: each start once per step, beside the steps in turn
-        starts = np.repeat(starts, shape[1], axis=0)
-        steps = np.repeat(steps[None], shape[0], axis=0).reshape(starts.shape)
-        return self._read_lines(starts, steps, multipliers).reshape(shape)
-
-    def _read_lines(self, starts: np.ndarray, steps: np.ndarray,
-                    ells: range | Sequence[int]) -> np.ndarray:
-        """Letters at starts[i] + ell*steps[i], as an (L, n) int64 array, for
-        nonempty (L, d) starts and steps (int64, or Python ints in an object
-        array) and n >= 1 multipliers: the one place that refuses a line
-        leaving N^d and picks the builder or pointwise reads."""
-        if isinstance(ells, range):
-            lo, hi = sorted((ells[0], ells[-1]))
+        if isinstance(multipliers, range):
+            lo, hi = sorted((multipliers[0], multipliers[-1]))
         else:
-            ells = np.asarray(ells, dtype=np.int64)
-            lo, hi = ells.min().item(), ells.max().item()
-        # Python ints: exact, and cheaper than numpy reductions on a few lines
-        coords = starts.ravel().tolist(), steps.ravel().tolist()
-        if lo < 0 or min(map(min, coords)) < 0:
-            i = np.argmax((starts.min(axis=1) < 0) | (steps.min(axis=1) < 0))
-            raise InvalidInput(f"the line {tuple(starts[i].tolist())} + ell*"
-                               f"{tuple(steps[i].tolist())} for ell in [{lo}, {hi}] "
+            multipliers = np.asarray(multipliers, dtype=np.int64)
+            lo, hi = multipliers.min().item(), multipliers.max().item()
+        if lo < 0 or min(map(min, starts)) < 0 or min(map(min, steps)) < 0:
+            p, q = next(((p, q) for p in starts for q in steps if min(p) < 0 or min(q) < 0),
+                        (starts[0], steps[0]))
+            raise InvalidInput(f"the line {p} + ell*{q} for ell in [{lo}, {hi}] "
                                f"leaves N^{self.dimension}")
         build = self._line_builder
-        if build is not None and max(coords[0]) + max(coords[1]) * max(hi, 1) < _REACH:
-            return _capped(build, np.asarray(starts, dtype=np.int64),
-                           np.asarray(steps, dtype=np.int64), ells)
-        ells = list(map(int, ells))
+        if build is not None and max(map(max, starts)) + max(map(max, steps)) * max(hi, 1) < _REACH:
+            # start-major: each start once per step, beside the steps in turn
+            starts = np.repeat(np.array(starts, dtype=np.int64), shape[1], axis=0)
+            steps = np.tile(np.array(steps, dtype=np.int64), (shape[0], 1))
+            return _capped(build, starts, steps, multipliers).reshape(shape)
+        ells = list(map(int, multipliers))
         points = (tuple(s + t * ell for s, t in zip(p, q))
-                  for p, q in zip(starts.tolist(), steps.tolist()) for ell in ells)
-        out = np.fromiter(map(self._evaluator, points), dtype=np.int64,
-                          count=len(starts) * len(ells))
-        return out.reshape(len(starts), len(ells))
+                  for p in starts for q in steps for ell in ells)
+        out = np.fromiter(map(self._evaluator, points), dtype=np.int64, count=math.prod(shape))
+        return out.reshape(shape)
 
     def __repr__(self) -> str:
         return f"WordSource({self.name}, d={self.dimension}, k={self.alphabet_size})"
@@ -308,14 +292,3 @@ def factor_at(w: WordSource, p: Sequence[int], s: Sequence[int]) -> FiniteWord:
 def directional_letter(w: WordSource, q: Sequence[int], s: Sequence[int], ell: int) -> FiniteWord:
     """The ell-th letter of the directional word of w along q with block size s."""
     return factor_at(w, vec_scale(tuple(q), ell), s)
-
-
-def translate_origin(w: WordSource, p: Sequence[int]) -> WordSource:
-    """The word i -> w(i + p); w checks the shifted positions."""
-    p = tuple(p)
-    _check_dims(w.dimension, len(p))
-    return WordSource(w.dimension, w.alphabet_size,
-                      lambda i: w.letter(vec_add(i, p)),
-                      line_builder=lambda starts, steps, ells: w._read_lines(
-                          starts.astype(object) + np.array(p, dtype=object), steps, ells),
-                      name=f"{w.name}@{p}")

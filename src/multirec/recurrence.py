@@ -82,7 +82,8 @@ class GapReport:
 
     @property
     def occurrences(self) -> tuple[int, ...]:
-        return tuple(np.unpackbits(np.frombuffer(self.row, np.uint8)).nonzero()[0].tolist())
+        bits = np.unpackbits(np.frombuffer(self.row, np.uint8)).view(bool)
+        return tuple(bits.nonzero()[0].tolist())
 
     def bounded(self) -> bool:
         return self.verdict == BOUNDED_WITNESSED
@@ -174,7 +175,7 @@ def _scan(w: WordSource, corner: Vector, dirs: list[Vector], sizes: list[Vector]
 
 def _unpacked(bits: np.ndarray, horizon: int) -> np.ndarray:
     """The multipliers ell <= horizon set in a row of bits, as int64."""
-    return np.unpackbits(bits, count=horizon + 1).nonzero()[0]
+    return np.unpackbits(bits, count=horizon + 1).view(bool).nonzero()[0]
 
 
 def _and_cells(table: np.ndarray, size: Vector, origins: Vector) -> np.ndarray:

@@ -133,6 +133,12 @@ def test_every_named_word_renders(capsys, name):
      ["--size '1y1'"]),
     (["extract", "--preset", "sierpinski", "--dir", "1,1", "--size", "1x1", "--len", "2",
       "--origin", "q"], ["--origin 'q'"]),
+    (["extract", "--preset", "sierpinski", "--dir", "1,1", "--size", "1x1", "--len", "2",
+      "--origin", "1,2,3"], ["--origin '1,2,3'", "dimension 2"]),
+    (["extract", "--preset", "sierpinski", "--dir", "1,1", "--size", "1x1", "--len", "2",
+      "--origin", "1"], ["--origin '1'", "dimension 2"]),
+    (["extract", "--preset", "sierpinski", "--dir", "1,1", "--size", "1x1x1", "--len", "2",
+      "--origin", "1,1"], ["--size '1x1x1'", "dimension 2"]),
     (["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "4x3",
       "--scheme", "uniform", "--scan-box", "garbage"], ["--scan-box 'garbage'"]),
     (["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "0x3"],
@@ -140,6 +146,7 @@ def test_every_named_word_renders(capsys, name):
 ], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "word-letter",
         "unknown-word",
         "missing-morphism", "classify-missing-morphism", "box", "dir", "size", "origin",
+        "origin-long", "origin-short", "size-with-origin",
         "scan-box", "derive-box"])
 def test_malformed_input_exits_1_with_a_message(capsys, argv, words):
     """Bad input never prints a traceback: main returns 1, and the one

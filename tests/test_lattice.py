@@ -19,7 +19,6 @@ from multirec.lattice import (
     iter_box,
     normalize_direction,
     read_slices,
-    translate_origin,
     vec_add,
     vec_scale,
 )
@@ -128,22 +127,6 @@ def test_directional_letter_is_the_factor_at_ell_q(q, ell):
     assert block.cells[0] == w.letter(vec_scale(q, ell))
 
 
-def test_translate_origin_shifts_evaluation():
-    w = translate_origin(checkerboard(), (1, 0))
-    assert w.letter((0, 0)) == 1
-    assert w.letters_along((0, 0), (1, 0), 4).tolist() == [1, 0, 1, 0]
-
-
-@given(st.tuples(st.integers(0, 9), st.integers(0, 9)),
-       st.tuples(st.integers(0, 9), st.integers(0, 9)))
-def test_translate_origin_composes_additively(p, r):
-    w = checkerboard()
-    twice = translate_origin(translate_origin(w, p), r)
-    once = translate_origin(w, vec_add(p, r))
-    probe = [(0, 0), (3, 1), (2, 5)]
-    assert [twice.letter(x) for x in probe] == [once.letter(x) for x in probe]
-
-
 def test_word_source_checks_dimension():
     with pytest.raises(DimensionError):
         checkerboard().letter((1, 2, 3))
@@ -238,19 +221,22 @@ def test_negative_positions_raise():
     assert points == []
 
 
-def test_translate_origin_checks_the_shifted_positions():
+def test_the_gate_names_the_first_line_that_leaves_n_d_start_major():
     w, lines, points = recording_checkerboard()
-    left = translate_origin(w, (-3, 0))
-    assert left.letters_along((3, 0), (1, 0), 2).tolist() == [0, 1]
-    assert left.letter((4, 1)) == 0
-    assert lines == [([[0, 0]], [[1, 0]], [0, 1])] and points == [(1, 1)]
-    with pytest.raises(InvalidInput):
-        left.letters_along((0, 0), (1, 0), 4)
-    with pytest.raises(InvalidInput):
-        left.letter((2, 0))
-    far = translate_origin(w, (_REACH, 0))
-    assert far.letters_along((0, 0), (1, 0), 2).tolist() == [0, 1]
-    assert lines[1:] == [] and points[1:] == [(_REACH, 0), (_REACH + 1, 0)]
+    starts, steps = [(4, 1), (2, 3)], [(1, 0), (0, -1), (1, 1)]
+    with pytest.raises(InvalidInput) as err:
+        w.letters_on_lines(starts, steps, 3)
+    assert str(err.value) == "the line (4, 1) + ell*(0, -1) for ell in [0, 2] leaves N^2"
+    assert lines == [] and points == []
+
+
+def test_a_start_past_int64_is_read_pointwise():
+    w, lines, points = recording_checkerboard()
+    far = 1 << 64
+    out = w.letters_on_lines([(far, 1), (0, 0)], [(1, 0), (0, 1)], 2)
+    assert out.dtype == np.int64
+    assert out.tolist() == _family_letters([(far, 1), (0, 0)], [(1, 0), (0, 1)], range(2))
+    assert lines == [] and len(points) == 8
 
 
 def test_the_gate_takes_the_least_and_greatest_multiplier_in_any_order():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from multirec import lattice
 from multirec.derive import directional_blocks
 from multirec.generators import WORD_NAMES, Morphism, named_word
-from multirec.lattice import FiniteWord, factor_at, iter_box, translate_origin, vec_add, vec_scale
+from multirec.lattice import FiniteWord, factor_at, iter_box, vec_add, vec_scale
 from multirec.recurrence import sample_grid
 from multirec.render import sample_rows
 from multirec.rotation import sturmian_spec
@@ -49,8 +49,10 @@ def test_batched_readers_match_pointwise_letters(name, data):
     q = data.draw(st.tuples(*[st.integers(0, 4)] * d).filter(any), label="q")
     size = data.draw(st.tuples(*[side] * d), label="size")
     count = data.draw(st.integers(0, 10), label="count")
-    assert directional_blocks(w, q, size, count) == [
-        factor_at(w, vec_scale(q, ell), size) for ell in range(count)
+    coord = st.integers(0, 50) | st.integers((1 << 62) - 40, (1 << 62) + 40)
+    origin = data.draw(st.none() | st.tuples(*[coord] * d), label="origin")
+    assert directional_blocks(w, q, size, count, origin) == [
+        factor_at(w, vec_add(origin or (0,) * d, vec_scale(q, ell)), size) for ell in range(count)
     ]
     box = data.draw(st.tuples(*[st.integers(1, 9)] * d), label="box")
     grid = sample_grid(w, box)
@@ -127,11 +129,10 @@ def test_sample_grid_of_a_three_dimensional_fixed_point(m, box):
 @settings(max_examples=15, deadline=None)
 def test_sturmian_rows_far_from_the_origin(x0, y0, box):
     w = sturmian_spec().word()
-    far = translate_origin(w, (x0, y0))
     expected = [[w.letter((x0 + x, y0 + y)) for x in range(box[0])] for y in range(box[1])]
-    assert sample_rows(far, box) == expected
-    assert sample_grid(far, box).T.tolist() == expected
-    assert directional_blocks(far, (1, 1), (2, 1), 3) == [
+    starts = [(x0, y0 + y) for y in range(box[1])]
+    assert w.letters_on_lines(starts, [(1, 0)], box[0])[:, 0].tolist() == expected
+    assert directional_blocks(w, (1, 1), (2, 1), 3, origin=(x0, y0)) == [
         factor_at(w, (x0 + ell, y0 + ell), (2, 1)) for ell in range(3)
     ]
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from multirec import lattice
 from multirec.generators import Morphism, named_word
-from multirec.lattice import FiniteWord, WordSource, iter_box, translate_origin, vec_add
+from multirec.lattice import FiniteWord, WordSource, iter_box, vec_add
 from multirec.recurrence import (
     BOUNDED_WITNESSED,
     GAP_EXCEEDS_CLAIM,
@@ -199,11 +199,14 @@ def test_directions_reaching_2_62_are_read_pointwise(name):
 
 @pytest.mark.parametrize("name", ["sturmian", "ssurdo-3x3", "gcd-thue-morse", "fib-rows"])
 def test_sweeps_of_a_word_translated_past_2_62(name):
-    """The translated word's reads reach 2^62 inside its inner gate."""
-    w = translate_origin(WORDS[name](), (_FAR - 30, 7))
-    budget = RecurrenceBudget(40, 2, 2, 1)
-    assert check_ssurdo_empirical(w, budget) == [
-        reference_summary(s, reports) for s, reports in reference_sweep(w, budget, None, None, 1)]
+    """The word read from origins just below 2^62, over the directions and
+    sizes of a sweep: every line's reach crosses 2^62."""
+    w = WORDS[name]()
+    for origin in ((_FAR - 30, 7), (7, _FAR - 31), (_FAR - 30, _FAR - 29)):
+        for q in enumerate_directions(2, 2):
+            for size in enumerate_sizes(2, 2):
+                assert gap_report(w, q, size, origin, 40) == \
+                    reference_report(w, q, size, origin, 40)
 
 
 @pytest.mark.parametrize("slice_letters", [1, 216, 1080])
