@@ -108,6 +108,14 @@ def _word(args) -> WordSource:
     return _morphism(args).fixed_point(getattr(args, "letter", 1))
 
 
+def _check_dimension(w: WordSource, *flags: tuple[str, str | None, tuple | None]) -> None:
+    """Refuse a (flag, text, vector) whose vector's length is not the
+    word's dimension; a missing vector is skipped."""
+    for flag, text, v in flags:
+        if v is not None and len(v) != w.dimension:
+            raise InvalidInput(f"bad {flag} {text!r}, the word has dimension {w.dimension}")
+
+
 def _check_read_size(what: str, letters: int, limit: int = _MAX_LETTERS) -> None:
     if letters > limit:
         raise InvalidInput(f"{what} reads more than the limit of {limit} letters")
@@ -175,8 +183,7 @@ def cmd_generate(args) -> int:
             raise InvalidInput("generate needs --box (or --iterate)")
         box = parse_box(args.box, "--box")
         w = _word(args)
-        if len(box) != w.dimension:
-            raise InvalidInput(f"box {args.box} has wrong dimension for this word")
+        _check_dimension(w, ("--box", args.box, box))
         _check_read_size(f"--box {args.box}", math.prod(box))
         k = w.alphabet_size
     emit(render_rows(sample_rows(w, box), k, args.format), args.output)
@@ -193,9 +200,8 @@ def cmd_extract(args) -> int:
         raise InvalidInput(f"bad --len {args.len}, it must be nonnegative")
     _check_read_size(f"--len {args.len} of size {args.size}", args.len * math.prod(size))
     origin = parse_vector(args.origin, "--origin") if args.origin else None
-    for flag, text, v in (("--size", args.size, size), ("--origin", args.origin, origin)):
-        if v is not None and len(v) != w.dimension:
-            raise InvalidInput(f"bad {flag} {text!r}, the word has dimension {w.dimension}")
+    _check_dimension(w, ("--dir", args.dir, direction), ("--size", args.size, size),
+                     ("--origin", args.origin, origin))
     blocks = directional_blocks(w, direction, size, args.len, origin)
     emit(dump_json([b.to_nested() for b in blocks]) if args.json
          else "".join(block_text(b) for b in blocks), args.output)
@@ -258,15 +264,14 @@ def cmd_check(args) -> int:
 
 def _witness_summary(phi: Morphism, param: int) -> dict:
     witness = non_surd_2x2_witness(phi)
-    arg = None if witness.fixed_direction is not None else param
-    direction = witness.direction(arg)
-    zeros = witness.zero_multipliers(arg, horizon=64)
+    direction = witness.direction(param)
+    zeros = witness.zero_multipliers(param, horizon=64)
     return {
         "case": witness.case,
         "pattern": witness.pattern,
         "direction": list(direction),
         "zero_multipliers": [zeros.start, zeros.stop - 1],
-        "verified": witness.verify(phi, arg, horizon=64),
+        "verified": witness.verify(phi, param, horizon=64),
     }
 
 
@@ -342,6 +347,7 @@ def cmd_derive(args) -> int:
     w = _word(args)
     size = parse_box(args.size, "--size")
     box = parse_box(args.box, "--box")
+    _check_dimension(w, ("--size", args.size, size), ("--box", args.box, box))
     per_direction = args.scheme == "per-direction"
     if args.scan_box is not None and per_direction:
         raise InvalidInput("--scan-box applies only to --scheme uniform")
@@ -374,14 +380,10 @@ def cmd_derive(args) -> int:
         emit(dump_json(payload), args.output)
         return 0
     nested = dw.to_nested()
-    rows = [nested] if len(box) == 1 else nested
-    width = max(len(str(c)) for row in rows for c in row)
-    out = []
-    for row in reversed(rows):
-        out.append(" ".join(
-            ("?" if c == UNDEFINED else str(c)).rjust(width) for c in row
-        ))
-    emit("\n".join(out), args.output)
+    rows = [["?" if c == UNDEFINED else str(c) for c in row]
+            for row in ([nested] if len(box) == 1 else nested)]
+    width = max(len(t) for row in rows for t in row)
+    emit("\n".join(" ".join(t.rjust(width) for t in row) for row in reversed(rows)), args.output)
     return 0
 
 

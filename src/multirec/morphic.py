@@ -11,11 +11,11 @@ is treated as an internal bug.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .generators import Morphism, load_preset, thue_morse
 from .lattice import FiniteWord, Vector, iter_box, normalize_direction
-from .recurrence import RecurrenceBudget, check_urd_empirical, sample_grid
+from .recurrence import RecurrenceBudget, check_urd_empirical, occurrence_indices, sample_grid
 from .residues import family_c
 
 SURD = "SURD"
@@ -45,12 +45,6 @@ class ConditionVerdict:
     condition: str
     holds: bool
     witness: object = None
-
-
-@dataclass(frozen=True)
-class SurdBoundClaim:
-    size: Vector
-    bound: int
 
 
 def ceil_log(base: int, x: int) -> int:
@@ -73,14 +67,25 @@ def _require_square_prolongable(phi: Morphism, a: int) -> int:
     return phi.expansion
 
 
-def main_morphic_claim(phi: Morphism, size: Vector) -> SurdBoundClaim:
-    s = phi.expansion
-    return SurdBoundClaim(tuple(size), s ** (ceil_log(s, max(size)) + 1))
+def _require_prime(phi: Morphism, a: int) -> int:
+    s = _require_square_prolongable(phi, a)
+    if s < 2 or any(s % f == 0 for f in range(2, math.isqrt(s) + 1)):
+        raise CompositeSize(f"size {s} is not prime")
+    return s
 
 
-def reduction_claim(phi: Morphism, size: Vector, letter_bound: int) -> SurdBoundClaim:
+def reduction_claim(phi: Morphism, size: Vector, letter_bound: int) -> int:
+    """Gap bound s**ceil_log(s, max(size)) * letter_bound for blocks of
+    the given size, from a gap bound on single letters."""
     s = phi.expansion
-    return SurdBoundClaim(tuple(size), s ** ceil_log(s, max(size)) * letter_bound)
+    return s ** ceil_log(s, max(size)) * letter_bound
+
+
+def main_morphic_claim(phi: Morphism, size: Vector) -> int:
+    """Gap bound s**(ceil_log(s, max(size)) + 1) for blocks of the given
+    size when the subgroup condition holds; ``partial(main_morphic_claim,
+    phi)`` is a scan claim."""
+    return reduction_claim(phi, size, phi.expansion)
 
 
 def check_main_morphic(phi: Morphism, a: int) -> ConditionVerdict:
@@ -129,17 +134,6 @@ def check_power(psi: Morphism, a: int, i: int) -> ConditionVerdict:
     return ConditionVerdict(f"power-{i}", inner.holds, inner.witness)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def check_hyperplane(phi: Morphism, a: int) -> ConditionVerdict:
     """Image of the letter is all-a on the hyperplane x1 = 0, and some
     hyperplane x1 = i1 is all-a in every image.
@@ -147,9 +141,7 @@ def check_hyperplane(phi: Morphism, a: int) -> ConditionVerdict:
     Witness: the found i1 on success, the first bad cell of the x1 = 0
     hyperplane on that failure mode.
     """
-    s = _require_square_prolongable(phi, a)
-    if not _is_prime(s):
-        raise CompositeSize(f"size {s} is not prime")
+    s = _require_prime(phi, a)
     d = phi.dimension
     rest = list(itertools.product(range(s), repeat=d - 1))
     for tail in rest:
@@ -174,9 +166,7 @@ def check_non_recurrent_direction(
     to the horizon; a repeat occurrence there would contradict it and
     raises ConstructionBug.
     """
-    s = _require_square_prolongable(phi, a)
-    if not _is_prime(s):
-        raise CompositeSize(f"size {s} is not prime")
+    s = _require_prime(phi, a)
     q = normalize_direction(q)
     if len(q) != phi.dimension:
         raise InvalidInput(f"direction {q} has wrong dimension")
@@ -189,11 +179,10 @@ def check_non_recurrent_direction(
                 continue
             if phi.image(b)[i] == a:
                 return ConditionVerdict("non-recurrent-direction", False, (b, i))
-    line = phi.fixed_point(a).letters_along(origin, q, horizon + 1)
-    repeats = np.flatnonzero(line[1:] == a)
-    if len(repeats):
+    occurrences = occurrence_indices(phi.fixed_point(a), q, (1,) * len(q), horizon=horizon)
+    if len(occurrences) > 1:
         raise ConstructionBug(
-            f"letter {a} reappeared at {repeats[0] + 1} * {q} despite the condition"
+            f"letter {a} reappeared at {occurrences[1]} * {q} despite the condition"
         )
     return ConditionVerdict("non-recurrent-direction", True)
 
@@ -220,44 +209,48 @@ def classify_2x2(phi: Morphism) -> str:
     return NOT_SURD
 
 
+# The zero-range direction families of the proof, by case: whether the
+# parameter n must be odd, and the direction for n.
+_FAMILIES = {
+    "case-1": (True, lambda n: ((1 << 2 * n) * ((1 << n) - 1), (1 << n) + 1)),
+    "case-2": (True, lambda n: (1, ((1 << n) - 1) << n)),
+    "case-2-symm": (True, lambda n: (((1 << n) - 1) << n, 1)),
+    "case-3.1": (True, lambda n: ((1 << n) + 1, (1 << 2 * n) * ((1 << n) - 1) + (1 << n) + 1)),
+    "case-3.1-symm": (True, lambda n: ((1 << 2 * n) * ((1 << n) - 1) + (1 << n) + 1, (1 << n) + 1)),
+    "case-4": (False, lambda n: ((1 << n) - 1, 1)),
+}
+
+
 @dataclass(frozen=True)
 class Witness2x2:
-    """A direction family along which the fixed point provably fails to
-    recur, together with the pattern to check.
+    """A direction along which the fixed point provably fails to recur:
+    one fixed direction, or a family of directions by parameter.
 
-    ZERO_TAIL: the line reads 1 0 0 0 ... (every positive multiplier is 0).
-    ZERO_RANGE: multipliers 1 .. 2**param - 1 all read 0.
+    ZERO_TAIL, a fixed direction: the line reads 1 0 0 0 ... (every
+    positive multiplier is 0).
+    ZERO_RANGE, a family: multipliers 1 .. 2**param - 1 all read 0.
+    Methods ignore the parameter of a fixed direction.
     """
 
     case: str
-    pattern: str
-    odd_parameter: bool = False
     fixed_direction: Vector | None = None
+
+    @property
+    def pattern(self) -> str:
+        return ZERO_RANGE if self.fixed_direction is None else ZERO_TAIL
 
     def direction(self, param: int | None = None) -> Vector:
         if self.fixed_direction is not None:
             return self.fixed_direction
         if param is None or param < 1:
             raise InvalidInput(f"case {self.case} needs a positive parameter")
-        if self.odd_parameter and param % 2 == 0:
+        odd, family = _FAMILIES[self.case]
+        if odd and param % 2 == 0:
             raise InvalidInput(f"case {self.case} needs an odd parameter")
-        n = param
-        if self.case == "case-1":
-            return ((1 << 2 * n) * ((1 << n) - 1), (1 << n) + 1)
-        if self.case == "case-2":
-            return (1, ((1 << n) - 1) << n)
-        if self.case == "case-2-symm":
-            return (((1 << n) - 1) << n, 1)
-        if self.case == "case-3.1":
-            return ((1 << n) + 1, (1 << 2 * n) * ((1 << n) - 1) + (1 << n) + 1)
-        if self.case == "case-3.1-symm":
-            return ((1 << 2 * n) * ((1 << n) - 1) + (1 << n) + 1, (1 << n) + 1)
-        if self.case == "case-4":
-            return ((1 << n) - 1, 1)
-        raise InvalidInput(f"unknown case {self.case}")
+        return family(param)
 
     def zero_multipliers(self, param: int | None = None, horizon: int = 64) -> range:
-        if self.pattern == ZERO_TAIL:
+        if self.fixed_direction is not None:
             return range(1, horizon + 1)
         if param is None:
             raise InvalidInput(f"case {self.case} needs a parameter")
@@ -293,26 +286,26 @@ def non_surd_2x2_witness(phi: Morphism) -> Witness2x2:
 
     for pos in ((0, 1), (1, 0), (1, 1)):
         if pair(pos) == (0, 0):
-            return Witness2x2("trivial", ZERO_TAIL, fixed_direction=pos)
+            return Witness2x2("trivial", pos)
 
     p01, p10, p11 = pair((0, 1)), pair((1, 0)), pair((1, 1))
     if p01 == (0, 1):
         if p10 == (0, 1):
-            return Witness2x2("case-1", ZERO_RANGE, odd_parameter=True)
+            return Witness2x2("case-1")
         if p10 == (1, 0):
-            return Witness2x2("case-2", ZERO_RANGE, odd_parameter=True)
+            return Witness2x2("case-2")
         if p11 == (0, 1):
-            return Witness2x2("case-3.1", ZERO_RANGE, odd_parameter=True)
-        return Witness2x2("case-3.2", ZERO_TAIL, fixed_direction=(2, 1))
+            return Witness2x2("case-3.1")
+        return Witness2x2("case-3.2", (2, 1))
     if p01 == (1, 0):
         if p10 == (0, 1):
-            return Witness2x2("case-2-symm", ZERO_RANGE, odd_parameter=True)
-        return Witness2x2("case-4", ZERO_RANGE)
+            return Witness2x2("case-2-symm")
+        return Witness2x2("case-4")
     if p10 == (0, 1):
         if p11 == (0, 1):
-            return Witness2x2("case-3.1-symm", ZERO_RANGE, odd_parameter=True)
-        return Witness2x2("case-3.2-symm", ZERO_TAIL, fixed_direction=(1, 2))
-    return Witness2x2("case-4", ZERO_RANGE)
+            return Witness2x2("case-3.1-symm")
+        return Witness2x2("case-3.2-symm", (1, 2))
+    return Witness2x2("case-4")
 
 
 def thue_lemma_tm1(ell: int) -> bool:
@@ -345,9 +338,7 @@ def lemma_001_101_check(
     """
     if sigma.dimension != 1:
         raise InvalidInput("expected a unidimensional morphism")
-    s = _require_square_prolongable(sigma, a)
-    if not _is_prime(s):
-        raise CompositeSize(f"size {s} is not prime")
+    s = _require_prime(sigma, a)
     if m < 1:
         raise InvalidInput(f"need m >= 1, got {m}")
     if not 0 <= i < s or any(
@@ -359,14 +350,14 @@ def lemma_001_101_check(
     return bool(sliding_window_view(sub == a, s).any(axis=1).all())
 
 
-def ssurdo_structure_check(j: int, phi: Morphism | None = None) -> bool:
+def ssurdo_structure_check(j: int) -> bool:
     """Structure of the strongest example: the j-th images of 0 and 1
     differ in exactly the top-right cell, and off the (2, 2) residue class
     mod 3 the fixed point repeats its own 3x3 prefix.
     """
     if j < 1:
         raise InvalidInput(f"need j >= 1, got {j}")
-    phi = phi or load_preset("ssurdo-3x3")
+    phi = load_preset("ssurdo-3x3")
     block0 = phi.iterate(0, j)
     block1 = phi.iterate(1, j)
     top = 3**j - 1

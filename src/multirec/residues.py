@@ -23,9 +23,6 @@ class CyclicSubgroup:
     generator: Vector
     elements: frozenset[Vector]
 
-    def __contains__(self, vec: Sequence[int]) -> bool:
-        return _reduce(vec, self.modulus) in self.elements
-
     def sorted_elements(self) -> list[Vector]:
         return sorted(self.elements)
 

@@ -143,10 +143,6 @@ class IntervalPartition:
     def __setattr__(self, name, value):
         raise AttributeError("IntervalPartition is immutable")
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
     def bounds(self, index: int) -> tuple[QuadExt, QuadExt]:
         ends = (ZERO, *self.cuts, ONE)
         return ends[index], ends[index + 1]

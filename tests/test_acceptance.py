@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from functools import partial
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from multirec.generators import (
 )
 from multirec.lattice import FiniteWord, WordSource, iter_box
 from multirec.morphic import (
-    ceil_log,
     check_power,
+    main_morphic_claim,
     ssurdo_structure_check,
     survey_all_2x2,
     thue_lemma_tm0,
@@ -217,7 +218,7 @@ def test_criterion_08_sufficient_condition_bounds():
         # holds, with that power's expansion in place of s
         i = next(i for i in (1, 2, 3) if check_power(phi, 1, i).holds)
         s = phi.expansion**i
-        claim = lambda size, s=s: s ** (ceil_log(s, max(size)) + 1)
+        claim = partial(main_morphic_claim, phi.power(i))
         budget = RecurrenceBudget(5000, 5, 4, 3, 256)
         reports = check_urd_empirical(phi.fixed_point(1), budget, claim=claim)
         good = all(r.verdict == BOUNDED_WITNESSED for r in reports)
@@ -325,10 +326,11 @@ def test_criterion_11_counterexample_words():
 def test_criterion_12_toeplitz_construction():
     tw = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT, fill_letter=0))
     marked = FiniteWord((2, 2), (1, 0, 0, 0))
-    fixed = Morphism([marked, marked]).fixed_point(1)
+    phi = Morphism([marked, marked])
+    fixed = phi.fixed_point(1)
     same = np.array_equal(sample_grid(tw, (64, 64)), sample_grid(fixed, (64, 64)))
 
-    claim = lambda size: 2 ** (ceil_log(2, max(size)) + 1)
+    claim = partial(main_morphic_claim, phi)
     budget = RecurrenceBudget(4000, 5, 3, 3, 256)
     reports = check_urd_empirical(tw, budget, claim=claim)
     bounded = all(r.verdict == BOUNDED_WITNESSED for r in reports)

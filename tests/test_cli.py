@@ -100,7 +100,7 @@ def test_generate_flag_conflicts(capsys):
 def test_generate_box_dimension_mismatch(capsys):
     code, _, err = run(capsys, "generate", "--word", "thue-morse", "--box", "4x4")
     assert code == 1
-    assert "dimension" in err
+    assert "--box '4x4'" in err and "dimension 1" in err
 
 
 def test_unknown_word_is_a_usage_error(capsys):
@@ -143,11 +143,18 @@ def test_every_named_word_renders(capsys, name):
       "--scheme", "uniform", "--scan-box", "garbage"], ["--scan-box 'garbage'"]),
     (["derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", "--box", "0x3"],
      ["--box '0x3'", "positive"]),
+    (["extract", "--word", "sierpinski", "--dir", "1,1,1", "--size", "1x1", "--len", "2"],
+     ["--dir '1,1,1'", "dimension 2"]),
+    (["derive", "--word", "thue-morse", "--size", "2", "--box", "3x3"],
+     ["--box '3x3'", "dimension 1"]),
+    (["derive", "--word", "thue-morse", "--size", "2x2", "--box", "3"],
+     ["--size '2x2'", "dimension 1"]),
 ], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "word-letter",
         "unknown-word",
         "missing-morphism", "classify-missing-morphism", "box", "dir", "size", "origin",
         "origin-long", "origin-short", "size-with-origin",
-        "scan-box", "derive-box"])
+        "scan-box", "derive-box", "dir-dimension",
+        "derive-box-dimension", "derive-size-dimension"])
 def test_malformed_input_exits_1_with_a_message(capsys, argv, words):
     """Bad input never prints a traceback: main returns 1, and the one
     message line names what was wrong."""
@@ -307,6 +314,15 @@ def test_derive_uniform_marks_origin(capsys):
     )
     assert code == 0
     assert out.rstrip("\n").splitlines()[-1].split()[0] == "?"
+
+
+def test_uniform_derive_pads_to_its_printed_tokens(capsys):
+    """The origin prints as one-character `?`, so single-digit codes stand
+    one space apart, as in a per-direction grid."""
+    code, out, _ = run(capsys, "derive", "--word", "ssurdo-3x3", "--size", "1x1",
+                       "--box", "4x4", "--scheme", "uniform")
+    assert code == 0
+    assert out == "0 1 1 2\n0 0 1 0\n0 0 2 0\n? 1 1 1\n"
 
 
 def test_derive_budget_exhaustion_exits_3(capsys):

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from multirec import morphic
-from multirec.errors import CompositeSize, InvalidInput, NotApplicable
+from multirec.errors import CompositeSize, ConstructionBug, InvalidInput, NotApplicable
 from multirec.generators import Morphism, load_preset, preset_word, thue_morse
 from multirec.lattice import FiniteWord, WordSource, iter_box, vec_scale
 from multirec.morphic import (
     NOT_SURD,
     SURD,
-    Witness2x2,
+    ZERO_TAIL,
     all_2x2_morphisms,
     ceil_log,
     check_cor1,
@@ -48,10 +50,11 @@ def test_ceil_log_integer_search():
 
 
 def test_main_morphic_bound_arithmetic():
-    claim = main_morphic_claim(load_preset("ssurdo-3x3"), (4, 4))
-    assert claim.bound == 3 ** (ceil_log(3, 4) + 1) == 27
-    reduced = reduction_claim(load_preset("ssurdo-3x3"), (4, 4), 5)
-    assert reduced.bound == 3 ** ceil_log(3, 4) * 5 == 45
+    phi = load_preset("ssurdo-3x3")
+    assert main_morphic_claim(phi, (4, 4)) == 27
+    assert main_morphic_claim(phi, (3, 1)) == 9
+    assert reduction_claim(phi, (4, 4), 5) == 45
+    assert reduction_claim(phi, (1, 1), 5) == 5
 
 
 def test_origin_marked_morphism_satisfies_everything():
@@ -113,6 +116,17 @@ def test_hyperplane_requires_prime_size():
         check_hyperplane(Morphism([marked, marked]), 1)
 
 
+@pytest.mark.parametrize("s", [1, 4, 9])
+def test_every_prime_condition_refuses_a_composite_size(s):
+    square = FiniteWord.from_function((s, s), lambda p: 1 if p == (0, 0) else 0)
+    line = FiniteWord.from_function((s,), lambda p: 1 if p == (0,) else 0)
+    for check in (lambda: check_hyperplane(Morphism([square, square]), 1),
+                  lambda: check_non_recurrent_direction(Morphism([square, square]), 1, (1, 1)),
+                  lambda: lemma_001_101_check(Morphism([line, line]), 1, 0, 1)):
+        with pytest.raises(CompositeSize, match=f"size {s} is not prime"):
+            check()
+
+
 def test_all_images_marked_hyperplane_trivial_case():
     ones = FiniteWord((3, 3), (1,) * 9)
     assert check_hyperplane(Morphism([ones, ones]), 1).holds
@@ -126,6 +140,12 @@ def test_sierpinski_diagonal_is_non_recurrent():
     line = w.letters_along((0, 0), (1, 1), 501)
     assert line[0] == 1
     assert set(line[1:]) == {0}
+
+
+def test_a_repeat_on_the_scanned_line_is_a_construction_bug(monkeypatch):
+    monkeypatch.setattr(morphic, "occurrence_indices", lambda *args, **kwargs: [0, 7])
+    with pytest.raises(ConstructionBug, match="at 7 \\* \\(1, 1\\)"):
+        check_non_recurrent_direction(load_preset("sierpinski"), 1, (1, 1))
 
 
 def test_non_recurrence_condition_is_not_necessary():
@@ -214,14 +234,23 @@ def test_column_of_zeros_gives_the_trivial_witness():
 
 
 def test_parameter_parity_enforced():
-    phi = Morphism([
-        FiniteWord((2, 2), (0, 1, 1, 0)),
-        FiniteWord((2, 2), (1, 1, 1, 0)),
-    ])
-    witness = non_surd_2x2_witness(phi)
-    if witness.odd_parameter:
-        with pytest.raises(InvalidInput):
-            witness.direction(2)
+    """Every direction family but case-4 takes only odd parameters; a
+    fixed direction ignores the parameter."""
+    witnesses = {}
+    for phi in all_2x2_morphisms():
+        if classify_2x2(phi) == NOT_SURD:
+            witness = non_surd_2x2_witness(phi)
+            witnesses.setdefault(witness.case, witness)
+    assert len(witnesses) == 9
+    for case, witness in witnesses.items():
+        if witness.pattern == ZERO_TAIL:
+            assert witness.direction(2) == witness.direction() == witness.fixed_direction
+        elif case == "case-4":
+            assert witness.direction(2) == (3, 1)
+        else:
+            witness.direction(3)
+            with pytest.raises(InvalidInput, match="odd"):
+                witness.direction(2)
 
 
 def test_enumeration_has_128_candidates():
@@ -236,6 +265,19 @@ def test_survey_entry_validates_both_verdicts():
     assert surd["verdict"] == SURD and surd["ok"]
     non = survey_2x2_entry(((0, 0, 0, 0), (1, 1, 1, 0), 500, 2, 3))
     assert non["verdict"] == NOT_SURD and non["ok"]
+
+
+def test_in_process_survey_matches_the_pool_and_the_papers_table():
+    """The in-process survey gives the pooled survey's entries in order,
+    and the proof's table: 72 SURD, the 56 others by witness case."""
+    entries = survey_all_2x2(workers=1)
+    assert entries == survey_all_2x2(workers=2)
+    assert all(e["ok"] for e in entries)
+    assert sum(e["verdict"] == SURD for e in entries) == 72
+    assert Counter(e["detail"] for e in entries if e["verdict"] == NOT_SURD) == {
+        "trivial": 37, "case-4": 4, "case-1": 3, "case-2": 3, "case-2-symm": 3,
+        "case-3.2": 2, "case-3.2-symm": 2, "case-3.1": 1, "case-3.1-symm": 1,
+    }
 
 
 def test_thue_lemmas_small_cases():
@@ -274,11 +316,10 @@ def test_reduction_bound_holds_empirically():
     for name in ("ssurdo-3x3", "surd-not-ssurdo-2x2", "power-3x3"):
         phi = load_preset(name)
         w = preset_word(name)
-        s = phi.expansion
         for q in ((1, 1), (2, 1)):
             letter_gap = gap_report(w, q, (1, 1), horizon=3000).max_gap
             for m in ((2, 2), (3, 3)):
-                claimed = s ** ceil_log(s, max(m)) * letter_gap
+                claimed = reduction_claim(phi, m, letter_gap)
                 r = gap_report(w, q, m, horizon=3000, claim=claimed)
                 assert r.verdict == "BOUNDED_WITNESSED"
 

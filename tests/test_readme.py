@@ -1,6 +1,7 @@
 """Every ``$ multirec ...`` example in README.md, run through ``cli.main``:
 stdout must start with the lines shown under the command (the first N
-lines for a ``| head -N`` suffix), and the command must exit 0."""
+lines for a ``| head -N`` suffix), and the command must exit 0.  The
+Library block must print what its comments show."""
 
 from __future__ import annotations
 
@@ -48,3 +49,13 @@ def test_readme_example_output(command, shown, capsys):
         argv = argv[:pipe]
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[:len(shown)] == shown
+
+
+def test_readme_library_example(capsys):
+    """The Library block runs, and each ``print`` writes the value of its
+    ``# ...`` comment."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text("utf-8"), re.S)
+    shown = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(shown) == 2
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
