@@ -81,10 +81,10 @@ def _check_domain(p: Vector) -> None:
 # Lines whose reach bound is below this go to the line builder.
 _REACH = 1 << 62
 # Most letters one line builder call reads.  The morphic walk pays about 60
-# small numpy calls per call: at 2^13 the 2x2 survey ran 23% slower on a
-# 2-vCPU x86-64 machine.  At 2^15 it ran 15% faster, but a call's int64
-# arrays pass 128 KiB, where malloc faults in fresh pages for them, and a
-# Toeplitz grid read took about 1.5 times as long.
+# small numpy calls per call: at 2^13 the 2x2 survey, then reading 4,001
+# multipliers per SURD entry, ran 23% slower on a 2-vCPU x86-64 machine; at
+# 2^15 that read ran 15% faster, but a call's int64 arrays pass 128 KiB, where
+# malloc faults in fresh pages for them, and a Toeplitz grid read took 1.5x as long.
 _CALL_LETTERS = 1 << 14
 # Most letters one read of a sweep's match table or of derive's block codes
 # takes; the gate cuts each into builder calls.  Sweep times did not change

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .generators import Morphism, load_preset, thue_morse
 from .lattice import FiniteWord, Vector, iter_box, normalize_direction
-from .recurrence import RecurrenceBudget, check_urd_empirical, occurrence_indices, sample_grid
+from .recurrence import RecurrenceBudget, check_surd_empirical, occurrence_indices, sample_grid
 from .residues import family_c
 
 SURD = "SURD"
@@ -388,16 +388,24 @@ def all_2x2_morphisms() -> list[Morphism]:
 def survey_2x2_entry(
     args: tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 ) -> dict:
-    """Worker for the exhaustive cross-validation; must stay picklable."""
+    """Worker for the exhaustive cross-validation; must stay picklable.
+    A SURD verdict holds if every (direction, size) block returns within the
+    horizon; a return stays one, so the blocks are read to horizons 15, 31,
+    63, ... until all have returned, and only a failure reads the horizon."""
     zero, one, horizon, direction_bound, param = args
     phi = Morphism((FiniteWord((2, 2), zero), FiniteWord((2, 2), one)))
     verdict = classify_2x2(phi)
     if verdict == SURD:
-        budget = RecurrenceBudget(horizon, direction_bound, 2, 1, 2)
-        reports = check_urd_empirical(phi.fixed_point(1), budget, sizes=[(1, 1), (2, 2)])
-        ok = all(r.bounded() for r in reports)
-        detail = None if ok else next(r for r in reports if not r.bounded())
-        detail = None if ok else (detail.direction, detail.size)
+        w, h = phi.fixed_point(1), 15
+        while True:
+            budget = RecurrenceBudget(min(h, horizon), direction_bound, 2, 1, 2)
+            summaries = check_surd_empirical(w, budget, sizes=[(1, 1), (2, 2)])
+            bad = next((s.worst for s in summaries if not s.worst.bounded()), None)
+            if bad is None or h >= horizon:
+                break
+            h = 2 * h + 1
+        ok = bad is None
+        detail = None if ok else (bad.direction, bad.size)
     else:
         witness = non_surd_2x2_witness(phi)
         ok = witness.verify(phi, param=param, horizon=64)
@@ -412,8 +420,10 @@ def survey_all_2x2(
     workers: int | None = None,
 ) -> list[dict]:
     """Classify all 128 candidate morphisms and validate each verdict
-    experimentally.  Entries come back in enumeration order.  The pool has
-    at most one worker per entry; ``None`` means one per CPU.
+    experimentally, a SURD one by every (direction, size) block returning
+    within the horizon, read in doubling horizons.  Entries come back in
+    enumeration order.  The pool has at most one worker per entry; ``None``
+    means one per CPU.
     """
     _check_param(param)
     if workers is not None and workers < 1:

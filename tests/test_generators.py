@@ -398,9 +398,10 @@ def test_block_walk_on_one_dimensional_lines(k):
 
 
 def test_a_survey_table_is_thirteen_builder_calls_of_four_lines():
-    """The 2x2 survey's table, 4 starts x 13 directions x 4001 multipliers:
-    4001 multipliers fit 4 lines into one 2^14-letter call, so its 52
-    lines go out as 13 calls of 4 whatever start they come from."""
+    """A 2x2 survey table read to the default horizon, as a failing SURD
+    entry reads it, 4 starts x 13 directions x 4001 multipliers: 4001
+    multipliers fit 4 lines into one 2^14-letter call, so its 52 lines go
+    out as 13 calls of 4 whatever start they come from."""
     w = preset_word("surd-not-ssurdo-2x2")
     calls = []
 

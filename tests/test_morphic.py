@@ -30,7 +30,7 @@ from multirec.morphic import (
     thue_lemma_tm0,
     thue_lemma_tm1,
 )
-from multirec.recurrence import gap_report
+from multirec.recurrence import RecurrenceBudget, check_urd_empirical, gap_report
 from multirec.residues import family_c
 
 # the morphism shown right after the SURD sufficient condition: both images
@@ -278,6 +278,81 @@ def test_in_process_survey_matches_the_pool_and_the_papers_table():
         "trivial": 37, "case-4": 4, "case-1": 3, "case-2": 3, "case-2-symm": 3,
         "case-3.2": 2, "case-3.2-symm": 2, "case-3.1": 1, "case-3.1-symm": 1,
     }
+
+
+def _full_horizon_entry(args):
+    """The survey entry as a full-horizon urd check: every (direction,
+    size) report at the horizon, the detail the first that is unbounded.
+    It classifies through ``morphic.classify_2x2``, so a patched verdict
+    reaches it too."""
+    zero, one, horizon, direction_bound, param = args
+    phi = Morphism((FiniteWord((2, 2), zero), FiniteWord((2, 2), one)))
+    verdict = morphic.classify_2x2(phi)
+    if verdict == SURD:
+        budget = RecurrenceBudget(horizon, direction_bound, 2, 1, 2)
+        reports = check_urd_empirical(phi.fixed_point(1), budget, sizes=[(1, 1), (2, 2)])
+        bad = next((r for r in reports if not r.bounded()), None)
+        ok, detail = bad is None, None if bad is None else (bad.direction, bad.size)
+    else:
+        witness = non_surd_2x2_witness(phi)
+        ok, detail = witness.verify(phi, param=param, horizon=64), witness.case
+    return {"zero": zero, "one": one, "verdict": verdict, "ok": ok, "detail": detail}
+
+
+def _survey_task(phi, horizon):
+    return (phi.image(0).cells, phi.image(1).cells, horizon, 4, 3)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 15, 16, 100, 4000])
+def test_survey_entries_match_the_full_horizon_check(horizon):
+    for phi in all_2x2_morphisms():
+        task = _survey_task(phi, horizon)
+        assert survey_2x2_entry(task) == _full_horizon_entry(task)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The largest multiplier of every ``letters_on_lines`` call, in order."""
+    letters_on_lines = WordSource.letters_on_lines
+    out = []
+
+    def recorded(self, starts, steps, multipliers):
+        out.append(multipliers - 1 if isinstance(multipliers, int) else max(multipliers))
+        return letters_on_lines(self, starts, steps, multipliers)
+
+    monkeypatch.setattr(WordSource, "letters_on_lines", recorded)
+    return out
+
+
+@pytest.mark.parametrize("horizon, failures", [(1, 56), (15, 44), (16, 44), (100, 42), (4000, 42)])
+def test_a_failing_surd_check_ends_on_the_full_horizon_read(monkeypatch, reads, horizon, failures):
+    """NOT_SURD morphisms forced down the SURD path: those with a block that
+    never returns along a direction with coordinates at most 4 fail every
+    doubling step and name the first such pair from the read at the
+    horizon; the other 14 return along all 13 directions by horizon 100."""
+    non_surd = [phi for phi in all_2x2_morphisms() if classify_2x2(phi) == NOT_SURD]
+    monkeypatch.setattr(morphic, "classify_2x2", lambda phi: SURD)
+    failed = 0
+    for phi in non_surd:
+        task = _survey_task(phi, horizon)
+        reads.clear()
+        entry = survey_2x2_entry(task)
+        if not entry["ok"]:
+            failed += 1
+            assert reads[-1] == horizon
+        assert entry == _full_horizon_entry(task)
+    assert failed == failures
+
+
+def test_a_surd_entry_reads_no_multiplier_past_15(reads):
+    """Every SURD block returns by multiplier 4, so at the default horizon
+    the survey stops at its first read, [0, 15]."""
+    surd = [phi for phi in all_2x2_morphisms() if classify_2x2(phi) == SURD]
+    assert len(surd) == 72
+    for phi in surd:
+        reads.clear()
+        assert survey_2x2_entry(_survey_task(phi, 4000))["ok"]
+        assert reads and max(reads) == 15
 
 
 def test_thue_lemmas_small_cases():
