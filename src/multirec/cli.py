@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .derive import UNIFORM, derivative_per_direction, derivative_uniform, directional_blocks
@@ -278,7 +277,12 @@ def _witness_summary(phi: Morphism, param: int) -> dict:
 def cmd_classify(args) -> int:
     param = args.param
     if args.all:
-        results = survey_all_2x2(param=param, workers=args.workers)
+        if args.workers < 1:
+            raise InvalidInput(f"bad --workers {args.workers}, it must be at least 1")
+        try:
+            results = survey_all_2x2(param=param)
+        except InvalidInput as exc:
+            raise InvalidInput(f"bad --param {param}: {exc}") from None
         surd = sum(1 for r in results if r["verdict"] == "SURD")
         bad = [r for r in results if not r["ok"]]
         if args.json:
@@ -457,7 +461,7 @@ def build_parser() -> _Parser:
     _add(group, "preset", "morphism")
     group.add_argument("--all", action="store_true", help="survey every candidate")
     p.add_argument("--param", type=int, default=3, help="parameter for witness directions")
-    p.add_argument("--workers", type=int, default=os.cpu_count(), help="process pool size for --all")
+    p.add_argument("--workers", type=int, default=1, help="no effect: --all runs in one process")
     _add(p, "json", "output")
     p.set_defaults(func=cmd_classify)
 

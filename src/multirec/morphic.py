@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from numpy.lib.stride_tricks import sliding_window_view
@@ -388,7 +386,7 @@ def all_2x2_morphisms() -> list[Morphism]:
 def survey_2x2_entry(
     args: tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 ) -> dict:
-    """Worker for the exhaustive cross-validation; must stay picklable.
+    """One entry of the exhaustive cross-validation.
     A SURD verdict holds if every (direction, size) block returns within the
     horizon; a return stays one, so the blocks are read to horizons 15, 31,
     63, ... until all have returned, and only a failure reads the horizon."""
@@ -417,23 +415,18 @@ def survey_all_2x2(
     horizon: int = 4000,
     direction_bound: int = 4,
     param: int = 3,
-    workers: int | None = None,
 ) -> list[dict]:
     """Classify all 128 candidate morphisms and validate each verdict
     experimentally, a SURD one by every (direction, size) block returning
     within the horizon, read in doubling horizons.  Entries come back in
-    enumeration order.  The pool has at most one worker per entry; ``None``
-    means one per CPU.
+    enumeration order.  The odd-only witness families need an odd
+    ``param``, so an even one is refused before any entry runs.
     """
     _check_param(param)
-    if workers is not None and workers < 1:
-        raise InvalidInput(f"workers must be at least 1, got {workers}")
+    if param < 1 or param % 2 == 0:
+        raise InvalidInput(f"witness parameter {param} must be odd and at least 1")
     tasks = [
         (phi.image(0).cells, phi.image(1).cells, horizon, direction_bound, param)
         for phi in all_2x2_morphisms()
     ]
-    workers = min(workers or os.cpu_count() or 1, len(tasks))
-    if workers == 1:
-        return [survey_2x2_entry(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(survey_2x2_entry, tasks, chunksize=8))
+    return [survey_2x2_entry(t) for t in tasks]

@@ -8,7 +8,6 @@ report and as a hard gate for CI.
 from __future__ import annotations
 
 import math
-import os
 import random
 from functools import partial
 
@@ -195,9 +194,7 @@ def test_criterion_06_rotation_words():
 
 
 def test_criterion_07_2x2_cross_validation():
-    results = survey_all_2x2(
-        horizon=4000, direction_bound=4, param=3, workers=os.cpu_count()
-    )
+    results = survey_all_2x2(horizon=4000, direction_bound=4, param=3)
     surd = sum(1 for r in results if r["verdict"] == "SURD")
     bad = [r for r in results if not r["ok"]]
     ok = len(results) == 128 and not bad

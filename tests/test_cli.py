@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import multirec
-from multirec import cli, morphic
+from multirec import cli
 from multirec.cli import _MAX_LETTERS, _MAX_LINES, _MAX_SCAN_LETTERS, _check_budget, main
 from multirec.figures import _fixture
 from multirec.generators import WORD_NAMES, Morphism, named_word
@@ -533,14 +533,25 @@ def test_derive_refuses_a_scan_box_it_cannot_use(capsys, no_reads, extra, flags)
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_classify_all_refuses_fewer_than_one_worker(capsys, no_reads, monkeypatch, workers):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started")
+    def no_survey(*args, **kwargs):
+        raise AssertionError("a survey started")
 
-    monkeypatch.setattr(morphic, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "survey_all_2x2", no_survey)
     code, out, err = run(capsys, "classify", "--all", "--workers", workers)
     assert code == 1
     assert out == ""
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("param", ["2", "0"])
+def test_classify_all_refuses_a_param_the_witnesses_cannot_take(capsys, no_reads, param):
+    """Five witness families take only odd parameters, so the survey
+    refuses an even or nonpositive one before its first entry reads."""
+    code, out, err = run(capsys, "classify", "--all", "--param", param)
+    assert code == 1
+    assert out == ""
+    assert f"--param {param}" in err and "odd" in err
+    assert err.count("\n") == 1
 
 
 def test_check_json_serialises_gaps_as_ints(capsys):
@@ -627,3 +638,16 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys, monkeypat
                                capture_output=True, text=True, timeout=120)
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The survey runs in one process, so the CLI imports neither
+    multiprocessing nor concurrent.futures."""
+    env = {**os.environ, "PYTHONPATH": str(Path(multirec.__file__).parents[1])}
+    probe = ("import sys, multirec.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    fresh = subprocess.run([sys.executable, "-c", probe], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == "[]\n"

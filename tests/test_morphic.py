@@ -268,10 +268,9 @@ def test_survey_entry_validates_both_verdicts():
 
 
 def test_in_process_survey_matches_the_pool_and_the_papers_table():
-    """The in-process survey gives the pooled survey's entries in order,
-    and the proof's table: 72 SURD, the 56 others by witness case."""
-    entries = survey_all_2x2(workers=1)
-    assert entries == survey_all_2x2(workers=2)
+    """The survey gives the proof's table: 72 SURD, the 56 others by
+    witness case."""
+    entries = survey_all_2x2()
     assert all(e["ok"] for e in entries)
     assert sum(e["verdict"] == SURD for e in entries) == 72
     assert Counter(e["detail"] for e in entries if e["verdict"] == NOT_SURD) == {
@@ -412,39 +411,4 @@ def test_witness_parameter_above_the_limit_is_refused_unread(monkeypatch):
     with pytest.raises(InvalidInput, match="limit of 16"):
         witness.verify(phi, param=40)
     with pytest.raises(InvalidInput, match="limit of 16"):
-        survey_all_2x2(param=17, workers=1)
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs nothing."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return []
-
-
-@pytest.mark.parametrize("workers, pool", [(1000, 128), (129, 128), (3, 3)])
-def test_survey_pool_is_clamped_to_the_entries(monkeypatch, workers, pool):
-    monkeypatch.setattr(morphic, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    assert survey_all_2x2(workers=workers) == []
-    assert _RecordingPool.sizes == [pool]
-
-
-@pytest.mark.parametrize("workers", [0, -2])
-def test_survey_refuses_fewer_than_one_worker(monkeypatch, workers):
-    monkeypatch.setattr(morphic, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    with pytest.raises(InvalidInput, match="at least 1"):
-        survey_all_2x2(workers=workers)
-    assert _RecordingPool.sizes == []
+        survey_all_2x2(param=17)
