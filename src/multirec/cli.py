@@ -304,7 +304,10 @@ def cmd_classify(args) -> int:
     verdict = classify_2x2(phi)
     info = {"verdict": verdict}
     if verdict == NOT_SURD:
-        info.update(_witness_summary(phi, param))
+        try:
+            info.update(_witness_summary(phi, param))
+        except InvalidInput as exc:
+            raise InvalidInput(f"bad --param {param}: {exc}") from None
     if args.json:
         emit(dump_json(info), args.output)
     elif verdict == NOT_SURD:

@@ -3,8 +3,9 @@ words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
 fixed points have two digit walks, one per letter and one per line (see
 Morphism); the line walk reads a long line through the lines of its high
 digits, one table gather per letter, and a short one m digits per table
-lookup into the images of phi^m.  ``Morphism.iterate`` substitutes and
-walks no digits, so it is a reference for both.  ``named_word`` builds
+lookup into the images of phi^m, built for every letter by squaring.
+``Morphism.iterate`` substitutes one level at a time and walks no digits,
+so it is a reference for the table and both walks.  ``named_word`` builds
 each word of ``WORD_NAMES`` from its name.  Line builders are plain
 numpy kernels over paired lines (row i of an (L, n) array holds the
 letters at starts[i] + ell * steps[i]): ``WordSource.letters_on_lines``
@@ -45,6 +46,15 @@ _TABLE_CELLS = 1 << 12
 _WALK_BLOCKS = 16
 
 
+def _expand(grid: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Each letter of an (L, y_d, ..., y_1) grid replaced by its block in a
+    (k, z_d, ..., z_1) array (C order is FiniteWord order): the gather
+    appends block axes, the transpose pairs them, the reshape merges them."""
+    order = [0, *(i for a in range(1, grid.ndim) for i in (a, a + grid.ndim - 1))]
+    shape = [len(grid), *(y * z for y, z in zip(grid.shape[1:], blocks.shape[1:]))]
+    return blocks[grid].transpose(order).reshape(shape)
+
+
 def _ndigits(n: int, base: int) -> int:
     count = 0
     while n:
@@ -67,11 +77,11 @@ class Morphism:
     base-s_j digits as one base-s_j^m digit, from a flat table of the
     images phi^m(b), with m the largest such that phi^m(b) has at most
     ``_TABLE_CELLS`` cells (m = 6 for 2x2, 3 for 3x3, 12 for a 1-D s = 2).
-    The table is built at the first line read.  A line spanning at least
-    ``_WALK_BLOCKS`` blocks of B = lcm(s_j^m) multipliers reads every
-    letter with one gather from the letters of a few lines B times shorter,
-    those of its high digits (see ``_walk``); shorter lines take one gather
-    per chunk of m digits (``_chunk_walk``).
+    The table is built at the first line read, for every letter at once by
+    squaring.  A line spanning at least ``_WALK_BLOCKS`` blocks of
+    B = lcm(s_j^m) multipliers reads every letter with one gather from the
+    letters of a few lines B times shorter, those of its high digits (see
+    ``_walk``); shorter lines take one gather per m digits (``_chunk_walk``).
     """
 
     __slots__ = ("images", "dims", "_cells", "_strides", "_chunks")
@@ -148,26 +158,25 @@ class Morphism:
 
     def iterate(self, b: int, n: int) -> FiniteWord:
         """The n-th image of the letter b, a block of size (s_1^n, ..., s_d^n).
-        Does not require prolongability.  Substitutes on a numpy grid with
-        the last coordinate first (C order is FiniteWord order): indexing the
-        images appends block axes, the transpose puts each next to its grid
-        axis, and the reshape merges them."""
+        Does not require prolongability.  Substitutes one level at a time and
+        reads no table: the reference for the table and both walks."""
         if n < 0:
             raise ValueError("negative iteration depth")
         self._check_letter(b)
-        grid = self._substitute(b, n)
+        images = self._powers(1)
+        grid = np.full((1,) * (self.dimension + 1), b, dtype=np.int64)
+        for _ in range(n):
+            grid = _expand(grid, images)
         return FiniteWord(tuple(s ** n for s in self.dims), grid.ravel().tolist())
 
-    def _substitute(self, b: int, n: int) -> np.ndarray:
-        """phi^n(b) as a numpy grid indexed [x_d, ..., x_1]."""
-        d = self.dimension
-        images = np.array(self._cells, dtype=np.int64).reshape(-1, *self.dims[::-1])
-        order = [i for axis in range(d) for i in (axis, axis + d)]
-        grid = np.full((1,) * d, b, dtype=np.int64)
-        for _ in range(n):
-            shape = [m * s for m, s in zip(grid.shape, images.shape[1:])]
-            grid = images[grid].transpose(order).reshape(shape)
-        return grid
+    def _powers(self, n: int) -> np.ndarray:
+        """phi^n of every letter, n >= 1, as a (k, s_d^n, ..., s_1^n) int64
+        grid, by squaring: phi^6 is phi^3 squared, 3 gathers in all."""
+        if n == 1:
+            return np.array(self._cells, dtype=np.int64).reshape(-1, *self.dims[::-1])
+        half = self._powers(n // 2)
+        square = _expand(half, half)
+        return _expand(square, self._powers(1)) if n % 2 else square
 
     def _chunk_table(self) -> tuple[int, np.ndarray, list[int], int]:
         """(m, table, radices, B): table[b * cells + off] is the letter of
@@ -177,20 +186,18 @@ class Morphism:
         if self._chunks is None:
             cells = math.prod(self.dims)
             m = 1
-            while cells ** (m + 1) <= _TABLE_CELLS:
+            while cells > 1 and cells ** (m + 1) <= _TABLE_CELLS:
                 m += 1
-            table = np.concatenate([self._substitute(b, m).ravel()
-                                    for b in range(self.alphabet_size)])
+            table = self._powers(m).ravel().astype(np.min_scalar_type(self.alphabet_size - 1))
             radices = [s ** m for s in self.dims]
-            self._chunks = (m, table.astype(np.min_scalar_type(self.alphabet_size - 1)),
-                            radices, math.lcm(*radices))
+            self._chunks = (m, table, radices, math.lcm(*radices))
         return self._chunks
 
     def power(self, i: int) -> "Morphism":
         """The morphism b -> iterate(b, i), of size (s_1^i, ..., s_d^i)."""
         if i < 1:
             raise ValueError("power must be >= 1")
-        return Morphism([self.iterate(b, i) for b in range(self.alphabet_size)])
+        return Morphism([FiniteWord(g.shape[::-1], g.ravel().tolist()) for g in self._powers(i)])
 
     def fixed_point(self, a: int, name: str | None = None) -> WordSource:
         # A side of 1 never shrinks a coordinate, so the digit walks would

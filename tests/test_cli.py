@@ -554,6 +554,28 @@ def test_classify_all_refuses_a_param_the_witnesses_cannot_take(capsys, no_reads
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("param, reason", [
+    ("2", "odd"), ("0", "positive"), ("17", "limit"),
+])
+def test_classify_names_a_param_its_witness_cannot_take(tmp_path, capsys, param, reason):
+    """Case 2 (0 -> [[0,0],[1,0]], 1 -> [[1,1],[0,1]]) takes only odd
+    parameters from 1 to 16."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"k": 2, "dims": [2, 2],
+                                "images": {"0": [[0, 0], [1, 0]], "1": [[1, 1], [0, 1]]}}))
+    code, out, err = run(capsys, "classify", "--morphism", str(path), "--param", param)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"bad --param {param}:" in err and reason in err
+
+
+def test_classify_lets_a_fixed_witness_ignore_the_param(capsys):
+    code, out, _ = run(capsys, "classify", "--preset", "sierpinski", "--param", "0")
+    assert code == 0
+    assert "witness trivial" in out
+
+
 def test_check_json_serialises_gaps_as_ints(capsys):
     for mode, key in (("urd", "max_gap"), ("surd", "sup_gap")):
         code, out, _ = run(capsys, "check", "--preset", "ssurdo-3x3", "--mode", mode,

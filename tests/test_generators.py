@@ -437,6 +437,43 @@ def test_power_is_iterated_composition():
         assert sq.image(b) == phi.iterate(b, 2)
 
 
+@st.composite
+def _any_morphisms(draw):
+    """Morphisms of k <= 4 letters on sides of 1 to 3 (1 to 2 in 3-D),
+    each side drawn on its own, so non-square sizes such as (3, 2) are
+    common."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((1, 2, 3)))
+    dims = tuple(draw(st.integers(1, 3 if d < 3 else 2)) for _ in range(d))
+    cells = st.lists(st.integers(0, k - 1), min_size=math.prod(dims), max_size=math.prod(dims))
+    return Morphism([FiniteWord(dims, draw(cells)) for _ in range(k)])
+
+
+@given(_any_morphisms())
+@settings(max_examples=60, deadline=None)
+def test_squared_table_and_powers_match_the_one_letter_substitution(phi):
+    """The table and power(i) are built for every letter at once by
+    squaring; iterate substitutes one letter one level at a time."""
+    k = phi.alphabet_size
+    depth, table, _, _ = phi._chunk_table()
+    expected = [c for b in range(k) for c in phi.iterate(b, depth).cells]
+    assert table.dtype == np.min_scalar_type(k - 1)
+    assert table.tolist() == expected
+    for i in range(1, 5):
+        assert phi.power(i).images == tuple(phi.iterate(b, i) for b in range(k))
+
+
+def test_one_cell_morphisms_end_their_table_depth():
+    """A one-cell image never grows under powers of phi, so the depth rule
+    must stop on its own, not at the table's cell cap."""
+    one = FiniteWord((1, 1), (0,))
+    phi = Morphism([one])
+    assert phi.power(3).images == (one,)
+    assert phi.iterate(0, 5) == one
+    depth, table, radices, block = phi._chunk_table()
+    assert (depth, table.tolist(), radices, block) == (1, [0], [1, 1], 1)
+
+
 def test_gcd_word_places_the_seed_along_every_direction():
     w = gcd_word(thue_morse_word(), 2)
     assert w.letter((2, 3)) == 1
