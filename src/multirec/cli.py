@@ -172,6 +172,8 @@ def cmd_generate(args) -> int:
         if args.word is not None:
             raise InvalidInput("--iterate renders the image of a letter under a morphism; "
                                "it needs --preset or --morphism, not --word")
+        if args.iterate < 0:
+            raise InvalidInput(f"bad --iterate {args.iterate}, it must be nonnegative")
         phi = _morphism(args)
         # capped exponent: a huge --iterate is refused, not computed
         _check_read_size(f"--iterate {args.iterate}", math.prod(phi.dims) ** min(args.iterate, 64))
@@ -221,6 +223,8 @@ def cmd_check(args) -> int:
     claim = args.claim
     if claim is not None and args.mode == "ur":
         raise InvalidInput("--claim bounds gaps in urd, surd and ssurdo modes; ur has none")
+    if claim is not None and claim < 1:
+        raise InvalidInput(f"bad --claim {claim}, no gap is below 1")
     _check_budget(budget, args.mode, w.dimension)
     failed = False
     lines = []

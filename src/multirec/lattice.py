@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -92,6 +93,7 @@ _CALL_LETTERS = 1 << 14
 _SLICE_LETTERS = 1 << 19
 
 
+@dataclass(frozen=True, slots=True)
 class FiniteWord:
     """A rectangular block of letters.
 
@@ -100,21 +102,18 @@ class FiniteWord:
     hashable.
     """
 
-    __slots__ = ("size", "cells", "_hash")
+    size: Vector
+    cells: tuple[int, ...]
 
-    def __init__(self, size: Sequence[int], cells: Sequence[int]):
-        size = tuple(int(s) for s in size)
+    def __post_init__(self):
+        size = tuple(int(s) for s in self.size)
         if not size or any(s < 1 for s in size):
             raise ValueError(f"invalid block size {size}")
-        cells = tuple(int(c) for c in cells)
+        cells = tuple(int(c) for c in self.cells)
         if len(cells) != math.prod(size):
             raise ValueError(f"{len(cells)} cells for size {size}")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_hash", hash((size, cells)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteWord is immutable")
 
     @property
     def dimension(self) -> int:
@@ -152,13 +151,6 @@ class FiniteWord:
 
     def positions(self) -> Iterator[Vector]:
         return iter_box(self.size)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteWord)
-                and self.size == other.size and self.cells == other.cells)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.size))

@@ -240,19 +240,14 @@ class Witness2x2:
     def direction(self, param: int | None = None) -> Vector:
         if self.fixed_direction is not None:
             return self.fixed_direction
-        if param is None or param < 1:
-            raise InvalidInput(f"case {self.case} needs a positive parameter")
         odd, family = _FAMILIES[self.case]
-        if odd and param % 2 == 0:
-            raise InvalidInput(f"case {self.case} needs an odd parameter")
+        _check_param(param, odd, f"case {self.case}")
         return family(param)
 
     def zero_multipliers(self, param: int | None = None, horizon: int = 64) -> range:
         if self.fixed_direction is not None:
             return range(1, horizon + 1)
-        if param is None:
-            raise InvalidInput(f"case {self.case} needs a parameter")
-        _check_param(param)
+        _check_param(param, _FAMILIES[self.case][0], f"case {self.case}")
         return range(1, (1 << param))
 
     def verify(self, phi: Morphism, param: int | None = None, horizon: int = 64) -> bool:
@@ -262,9 +257,12 @@ class Witness2x2:
         return not line.any()
 
 
-def _check_param(param: int) -> None:
-    if param > _MAX_WITNESS_PARAM:
-        raise InvalidInput(f"witness parameter {param} is above the limit of {_MAX_WITNESS_PARAM}")
+def _check_param(param: int | None, odd: bool, who: str) -> None:
+    """Refuse a witness parameter that is missing, outside 1 .. the limit,
+    or even where the family takes only odd ones."""
+    if param is None or not 1 <= param <= _MAX_WITNESS_PARAM or (odd and param % 2 == 0):
+        raise InvalidInput(f"{who} needs a positive{' odd' if odd else ''} parameter "
+                           f"up to the limit of {_MAX_WITNESS_PARAM}, not {param}")
 
 
 def non_surd_2x2_witness(phi: Morphism) -> Witness2x2:
@@ -422,9 +420,7 @@ def survey_all_2x2(
     enumeration order.  The odd-only witness families need an odd
     ``param``, so an even one is refused before any entry runs.
     """
-    _check_param(param)
-    if param < 1 or param % 2 == 0:
-        raise InvalidInput(f"witness parameter {param} must be odd and at least 1")
+    _check_param(param, True, "the survey")
     tasks = [
         (phi.image(0).cells, phi.image(1).cells, horizon, direction_bound, param)
         for phi in all_2x2_morphisms()

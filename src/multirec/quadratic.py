@@ -10,6 +10,7 @@ doubled until the enclosure excludes zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping, Union
@@ -34,6 +35,7 @@ def square_free_decompose(n: int) -> tuple[int, int]:
     return m, r * n
 
 
+@functools.total_ordering
 class QuadExt:
     """An exact real from the multi-quadratic field Q(sqrt(D_1), ...)."""
 
@@ -168,15 +170,6 @@ class QuadExt:
 
     def __lt__(self, other):
         return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     # ---- floor / fractional part ---------------------------------------
 

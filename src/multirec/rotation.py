@@ -40,14 +40,16 @@ def _as_qext(value) -> QuadExt:
     return value if isinstance(value, QuadExt) else QuadExt.rational(value)
 
 
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """A finite union of disjoint half-open intervals on the circle."""
 
-    __slots__ = ("components", "orientation")
+    components: tuple[tuple[QuadExt, QuadExt], ...]
+    orientation: str = LOWER
 
-    def __init__(self, components, orientation: str = LOWER):
+    def __post_init__(self):
         comps = []
-        for lo, hi in components:
+        for lo, hi in self.components:
             lo, hi = _as_qext(lo), _as_qext(hi)
             if lo.compare(hi) < 0:
                 comps.append((lo, hi))
@@ -59,10 +61,6 @@ class IntervalSet:
             else:
                 merged.append((lo, hi))
         object.__setattr__(self, "components", tuple(merged))
-        object.__setattr__(self, "orientation", orientation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalSet is immutable")
 
     @classmethod
     def full(cls, orientation: str = LOWER) -> "IntervalSet":
@@ -100,12 +98,8 @@ class IntervalSet:
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if self.orientation != other.orientation:
             raise ValueError("cannot intersect sets of mixed orientation")
-        out = []
-        for lo_a, hi_a in self.components:
-            for lo_b, hi_b in other.components:
-                lo = lo_a if lo_a.compare(lo_b) >= 0 else lo_b
-                hi = hi_a if hi_a.compare(hi_b) <= 0 else hi_b
-                out.append((lo, hi))
+        out = [(max(lo_a, lo_b), min(hi_a, hi_b))
+               for lo_a, hi_a in self.components for lo_b, hi_b in other.components]
         return IntervalSet(out, self.orientation)
 
     def __repr__(self):
@@ -114,34 +108,30 @@ class IntervalSet:
         return f"IntervalSet[{self.orientation}]({parts})"
 
 
+@dataclass(frozen=True, slots=True)
 class IntervalPartition:
     """k half-open intervals cut from the circle, with a label per cell."""
 
-    __slots__ = ("cuts", "labels", "orientation")
+    cuts: tuple[QuadExt, ...]
+    labels: tuple[int, ...] | None = None
+    orientation: str = LOWER
 
-    def __init__(self, cuts: Sequence[QuadExt], labels: Sequence[int] | None = None,
-                 orientation: str = LOWER):
-        cuts = tuple(_as_qext(c) for c in cuts)
+    def __post_init__(self):
+        cuts = tuple(_as_qext(c) for c in self.cuts)
         for c in cuts:
             if not (ZERO.compare(c) < 0 and c.compare(ONE) < 0):
                 raise ValueError("interior cuts must lie strictly inside (0, 1)")
         for a, b in zip(cuts, cuts[1:]):
             if a.compare(b) >= 0:
                 raise ValueError("cuts must be strictly increasing")
-        if orientation not in (LOWER, UPPER):
-            raise ValueError(f"unknown orientation {orientation!r}")
+        if self.orientation not in (LOWER, UPPER):
+            raise ValueError(f"unknown orientation {self.orientation!r}")
         k = len(cuts) + 1
-        if labels is None:
-            labels = tuple(range(k))
-        labels = tuple(int(v) for v in labels)
+        labels = tuple(range(k)) if self.labels is None else tuple(int(v) for v in self.labels)
         if len(labels) != k or len(set(labels)) != k:
             raise ValueError("need one distinct label per interval")
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "orientation", orientation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalPartition is immutable")
 
     def bounds(self, index: int) -> tuple[QuadExt, QuadExt]:
         ends = (ZERO, *self.cuts, ONE)
@@ -153,12 +143,7 @@ class IntervalPartition:
 
     def min_cell_length(self) -> QuadExt:
         ends = (ZERO, *self.cuts, ONE)
-        best = None
-        for a, b in zip(ends, ends[1:]):
-            length = b - a
-            if best is None or length.compare(best) < 0:
-                best = length
-        return best
+        return min(b - a for a, b in zip(ends, ends[1:]))
 
     def letter_at(self, x: QuadExt) -> int:
         """Label of the cell containing the circle point x (given in [0,1))."""

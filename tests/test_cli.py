@@ -122,6 +122,7 @@ def test_every_named_word_renders(capsys, name):
     (["generate", "--preset", "sierpinski", "--box", "4x4", "--letter", "7"], ["letter 7"]),
     (["generate", "--preset", "sierpinski", "--iterate", "2", "--letter", "7"], ["letter 7"]),
     (["generate", "--preset", "sierpinski", "--iterate", "2", "--letter", "-1"], ["letter -1"]),
+    (["generate", "--preset", "sierpinski", "--iterate", "-1"], ["bad --iterate -1"]),
     (["generate", "--word", "sierpinski", "--letter", "0", "--box", "4x2"], ["--letter", "--word"]),
     (["generate", "--word", "no-such-word", "--box", "4x4"], ["unknown word"]),
     (["generate", "--morphism", "no-such-file.json", "--box", "4x4"], ["no-such-file.json"]),
@@ -149,7 +150,8 @@ def test_every_named_word_renders(capsys, name):
      ["--box '3x3'", "dimension 1"]),
     (["derive", "--word", "thue-morse", "--size", "2x2", "--box", "3"],
      ["--size '2x2'", "dimension 1"]),
-], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "word-letter",
+], ids=["iterate-word", "box-letter", "iterate-letter", "iterate-negative-letter", "iterate-negative",
+        "word-letter",
         "unknown-word",
         "missing-morphism", "classify-missing-morphism", "box", "dir", "size", "origin",
         "origin-long", "origin-short", "size-with-origin",
@@ -455,6 +457,16 @@ def test_extract_of_no_blocks_prints_an_empty_line(capsys):
                        "--dir", "1,1", "--size", "1x2", "--len", "0")
     assert code == 0
     assert out == "\n"
+
+
+@pytest.mark.parametrize("claim", ["0", "-3"])
+def test_check_refuses_a_claim_below_1_before_reading(capsys, no_reads, claim):
+    """No gap is below 1, so such a claim is refused, not scanned."""
+    code, out, err = run(capsys, "check", "--preset", "ssurdo-3x3", "--claim", claim,
+                         "--budget", "10,1,1,1,1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"bad --claim {claim}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -351,3 +351,17 @@ def test_a_family_with_one_line_leaving_n_d_raises():
     with pytest.raises(DimensionError):
         w.letters_on_lines([(3, 3)], [(1, 0), (1, 1, 1)], 4)
     assert lines == [] and points == []
+
+
+def test_finite_word_is_a_frozen_value():
+    """Fields cannot be assigned, and blocks built separately from equal
+    cells are equal and hash equal."""
+    a = FiniteWord((2, 2), [0, 1, 1, 0])
+    b = FiniteWord([2, 2], np.array([0, 1, 1, 0]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.size == (2, 2) and a.cells == (0, 1, 1, 0)
+    assert a != FiniteWord((4, 1), (0, 1, 1, 0)) and a != (0, 1, 1, 0)
+    for name in ("size", "cells"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (1,))
+    assert a == b

@@ -412,3 +412,19 @@ def test_witness_parameter_above_the_limit_is_refused_unread(monkeypatch):
         witness.verify(phi, param=40)
     with pytest.raises(InvalidInput, match="limit of 16"):
         survey_all_2x2(param=17)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: w.zero_multipliers(0),
+    lambda w: w.zero_multipliers(-1),
+    lambda w: w.direction(17),
+    lambda w: w.direction(None),
+], ids=["zero-multipliers-0", "zero-multipliers-negative", "direction-17", "direction-none"])
+def test_case_4_refuses_a_param_outside_one_to_the_limit(call):
+    """Case 4 takes every parameter from 1 to 16, odd or even; its
+    direction and zero multipliers refuse the same others."""
+    witness = morphic.Witness2x2("case-4")
+    assert witness.direction(16) == ((1 << 16) - 1, 1)
+    assert witness.zero_multipliers(1) == range(1, 2)
+    with pytest.raises(InvalidInput, match="case case-4 needs a positive parameter up to the limit of 16"):
+        call(witness)

@@ -170,3 +170,23 @@ def test_floor_of_fixed_point_circle_constants_agrees_with_sympy():
             x = a * scale
             assert x.floor() == _sympy_floor(x)
             assert (x - x.floor()).sign() == 1
+
+
+def test_quad_ext_fields_cannot_be_assigned():
+    x = QuadExt.sqrt(2)
+    with pytest.raises(AttributeError):
+        x._coeffs = {}
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == QuadExt.sqrt(2)
+
+
+@given(small_quad(), st.one_of(st.integers(-20, 20), rationals))
+def test_orderings_agree_with_compare_on_both_sides(x, r):
+    """<, <=, >, >= against an int or a Fraction, with the QuadExt on
+    either side of the operator, are the signs of compare."""
+    for y in (x, x + r, QuadExt.rational(r)):
+        c = y.compare(r)
+        assert (y < r, y <= r, y > r, y >= r) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert (r > y, r >= y, r < y, r <= y) == (c < 0, c <= 0, c > 0, c >= 0)
+        assert (y < QuadExt.rational(r), y >= QuadExt.rational(r)) == (c < 0, c >= 0)

@@ -326,3 +326,37 @@ def test_failure_direction_produces_long_constant_run():
 def test_failure_direction_needs_positive_run():
     with pytest.raises(ValueError):
         surd_failure_direction(sturmian_spec(), 0)
+
+
+def test_interval_types_are_frozen_values():
+    """Fields cannot be assigned, and sets or partitions built separately
+    from equal ends are equal and hash equal."""
+    half = Fraction(1, 2)
+    s = IntervalSet([(Fraction(1, 4), half), (half, Fraction(3, 4))])
+    t = IntervalSet([(QuadExt.rational(Fraction(1, 4)), QuadExt.rational(Fraction(3, 4)))])
+    assert s == t and hash(s) == hash(t)
+    assert s != IntervalSet(t.components, UPPER)
+    p = IntervalPartition([SQRT2 - 1, half], [2, 0, 1])
+    q = IntervalPartition((QuadExt.sqrt(8) / 2 - 1, QuadExt.rational(half)), (2, 0, 1), LOWER)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != IntervalPartition([SQRT2 - 1, half])
+    for value, name in ((s, "components"), (s, "orientation"), (p, "cuts"),
+                        (p, "labels"), (p, "orientation")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_min_cell_length_and_intersect_with_equal_ends():
+    quarter, half = QuadExt.rational(Fraction(1, 4)), QuadExt.rational(Fraction(1, 2))
+    assert IntervalPartition([quarter, half]).min_cell_length() == quarter
+    g = (SQRT5 - 1) / 4
+    assert IntervalPartition([g, 2 * g]).min_cell_length() == g
+    assert IntervalPartition([1 - 2 * g, 1 - g]).min_cell_length() == g
+    a = IntervalSet([(quarter, half)])
+    assert a.intersect(IntervalSet([(quarter, 3 * quarter)])) == a
+    assert a.intersect(IntervalSet([(0, half)])) == a
+    assert a.intersect(a) == a
+    b = IntervalSet([(Fraction(1, 5), SQRT2 - 1)])
+    assert b.intersect(IntervalSet([(Fraction(3, 10), SQRT2 - 1)])).components == (
+        (QuadExt.rational(Fraction(3, 10)), SQRT2 - 1),)
+    assert a.intersect(IntervalSet([(half, 1)])).is_empty()
