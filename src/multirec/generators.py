@@ -1,6 +1,7 @@
-"""Word sources: constant-size morphic fixed points, classical unidimensional
-words, the gcd-placement word and Toeplitz-style periodic fillings.  Morphic
-fixed points have two digit walks, one per letter and one per line (see
+"""Word sources: constant-size morphic fixed points (Thue-Morse and two
+Toeplitz words among them), classical unidimensional words, the
+gcd-placement word and Toeplitz-style periodic fillings.  Morphic fixed
+points have two digit walks, one per letter and one per line (see
 Morphism); the line walk reads a long line through the lines of its high
 digits, one table gather per letter, and a short one m digits per table
 lookup into the images of phi^m, built for every letter by squaring.
@@ -372,17 +373,10 @@ def thue_morse(n: int) -> int:
     return n.bit_count() & 1
 
 
-def _parity64(v: np.ndarray) -> np.ndarray:
-    """thue_morse on a uint64 array, by xor-folding the bits onto bit 0
-    (np.bitwise_count needs numpy 2)."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> np.uint64(shift))
-    return (v & np.uint64(1)).astype(np.int64)
-
-
 def thue_morse_word() -> WordSource:
-    return WordSource(1, 2, lambda p: thue_morse(p[0]), line_builder=_uint64_line(_parity64),
-                      name="thue-morse")
+    """The fixed point of 0 under 0 -> 01, 1 -> 10: letter n is thue_morse(n)."""
+    images = [FiniteWord((2,), (0, 1)), FiniteWord((2,), (1, 0))]
+    return Morphism(images).fixed_point(0, name="thue-morse")
 
 
 def fibonacci_word(n: int) -> int:
@@ -427,16 +421,12 @@ def fib_rows_word() -> WordSource:
 
 def toeplitz_rows_word() -> WordSource:
     """Row 0 is 1 0^omega; row n >= 1 repeats 1 0^(2^k - 1) with k the 2-adic
-    valuation of n.  UR, although row 0 is not recurrent."""
-
-    def ev(p: Vector) -> int:
-        x, y = p
-        if y == 0:
-            return 1 if x == 0 else 0
-        k = (y & -y).bit_length() - 1
-        return 1 if x % (1 << k) == 0 else 0
-
-    return WordSource(2, 2, ev, name="toeplitz-rows")
+    valuation of n.  UR, although row 0 is not recurrent.  It is the fixed
+    point of 1 under b -> (b, 0, 1, 1), bottom row first: odd rows have
+    k = 0, so top rows are all 1, and row 2y has valuation v(y) + 1 (or is
+    row 0), so its letter at 2x is row y's at x and at 2x + 1 it is 0."""
+    images = [FiniteWord((2, 2), (b, 0, 1, 1)) for b in (0, 1)]
+    return Morphism(images).fixed_point(1, name="toeplitz-rows")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +484,7 @@ class ToeplitzWord:
     class and on the class's anchor, the cell modulo the period.  In closed
     form, with o = x | y for the cell (x, y): n = 0 when o is even, n = 1
     when bit 1 of o is 0, else the least n >= 2 whose bit n + 1 of o is 0.
-    ``letter`` evaluates it on ints of any size, the line builder on uint64
+    ``letter`` evaluates it on ints of any size, ``_letters`` on uint64
     arrays; ``materialize`` runs the construction itself.
     """
 
@@ -546,12 +536,6 @@ class ToeplitzWord:
         letters[(o & one) == zero] = self.schedule.base_letter
         return letters
 
-    def source(self) -> WordSource:
-        tag = f"toeplitz[{self.schedule.policy},seed={self.schedule.seed}]"
-        return WordSource(2, self.schedule.alphabet_size, self.letter,
-                          line_builder=_uint64_line(self._letters),
-                          name=tag)
-
     def materialize(self, steps: int) -> dict[Vector, int]:
         """Run the construction eagerly for the given number of steps and
         return the fully assigned box [0, 2^(steps+1))^2.  Double assignment
@@ -578,7 +562,9 @@ class ToeplitzWord:
 
 
 def toeplitz_construct(schedule: ToeplitzSchedule) -> WordSource:
-    return ToeplitzWord(schedule).source()
+    tw = ToeplitzWord(schedule)
+    return WordSource(2, schedule.alphabet_size, tw.letter, line_builder=_uint64_line(tw._letters),
+                      name=f"toeplitz[{schedule.policy},seed={schedule.seed}]")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +579,10 @@ _WORDS = {
     "gcd-thue-morse": lambda seed: gcd_word(thue_morse_word(), 2),
     "sturmian": lambda seed: sturmian_spec().word(),
     "thue-morse": lambda seed: thue_morse_word(),
-    "toeplitz-constant": lambda seed: toeplitz_construct(ToeplitzSchedule(CONSTANT, fill_letter=0)),
+    # The CONSTANT Toeplitz filling with fill letter 0 is 1 exactly where
+    # x | y is even, i.e. p = 0 mod 2: the fixed point of 1 under b -> (1, 0, 0, 0).
+    "toeplitz-constant": lambda seed: Morphism([FiniteWord((2, 2), (1, 0, 0, 0))] * 2).fixed_point(
+        1, name="toeplitz[constant,seed=0]"),
     "toeplitz-random": lambda seed: toeplitz_construct(ToeplitzSchedule(SEEDED_RANDOM, seed=seed)),
     "toeplitz-rows": lambda seed: toeplitz_rows_word(),
 }

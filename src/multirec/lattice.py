@@ -109,7 +109,7 @@ class FiniteWord:
         size = tuple(int(s) for s in self.size)
         if not size or any(s < 1 for s in size):
             raise ValueError(f"invalid block size {size}")
-        cells = tuple(int(c) for c in self.cells)
+        cells = tuple(map(int, self.cells))
         if len(cells) != math.prod(size):
             raise ValueError(f"{len(cells)} cells for size {size}")
         object.__setattr__(self, "size", size)
@@ -178,9 +178,9 @@ class WordSource:
     at most ``_CALL_LETTERS`` = 2^14 letters; callers bound only the family
     they ask for.  Lines beyond the reach, and words without a builder, are
     read pointwise through the evaluator, exact at any size.  Rotation
-    orbits, morphic digit walks, Thue-Morse parities, gcd placements and
-    the Toeplitz filling have builders.  Evaluators must be deterministic;
-    internal memoization is allowed but invisible.
+    orbits, morphic digit walks (Thue-Morse among them), gcd placements
+    and the Toeplitz filling have builders.  Evaluators must be
+    deterministic; internal memoization is allowed but invisible.
     """
 
     __slots__ = ("dimension", "alphabet_size", "_evaluator", "_line_builder", "name")

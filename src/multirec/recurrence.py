@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import InvalidInput
 from .lattice import Vector, WordSource, check_scan, iter_box, read_slices
 from .residues import iter_coprime_directions
 
@@ -214,6 +215,13 @@ def _gaps(rows: np.ndarray, horizon: int) -> np.ndarray:
     return out
 
 
+def _check_claim(claim: Claim, sizes: list[Vector]) -> None:
+    """Refuse a claim below 1, which no gap meets, at each size it bounds."""
+    for bound in [claim(s) for s in sizes] if callable(claim) else [claim]:
+        if bound is not None and bound < 1:
+            raise InvalidInput(f"a claimed gap bound of {bound}: no gap is below 1")
+
+
 def _ranks(gaps, horizon: int, claim: Claim, size: Vector):
     """Each report's severity, the worst largest: its max gap; horizon + 1
     past a lone occurrence, which no horizon sees recur; horizon + 2 where
@@ -244,6 +252,7 @@ def gap_report(
     q = tuple(direction)
     s = tuple(size)
     p0 = (0,) * w.dimension if origin is None else tuple(origin)
+    _check_claim(claim, [s])
     row = _row(w, q, s, p0, horizon)
     occ = _unpacked(row, horizon)
     gaps = (len(occ), np.diff(occ).max(initial=0).item(), horizon - occ[-1].item())
@@ -260,6 +269,7 @@ def _sweep(w: WordSource, budget: RecurrenceBudget | None, sizes: Iterable[Seque
     budget = budget or RecurrenceBudget()
     d = w.dimension
     size_list = enumerate_sizes(d, budget.size_bound) if sizes is None else list(map(tuple, sizes))
+    _check_claim(claim, size_list)
     if not size_list:
         return []
     dirs = enumerate_directions(d, budget.direction_bound)

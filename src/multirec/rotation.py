@@ -53,7 +53,7 @@ class IntervalSet:
             lo, hi = _as_qext(lo), _as_qext(hi)
             if lo.compare(hi) < 0:
                 comps.append((lo, hi))
-        comps.sort(key=lambda c: c[0].to_float())
+        comps.sort(key=lambda c: c[0])
         merged: list[tuple[QuadExt, QuadExt]] = []
         for lo, hi in comps:
             if merged and merged[-1][1] == lo:

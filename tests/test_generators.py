@@ -541,6 +541,20 @@ def test_constant_fill_toeplitz_is_morphic():
         assert w.letter(p) == fp.letter(p)
 
 
+_HUGE = st.integers(0, 300) | st.integers(0, 1 << 62) | st.integers(0, 10**30)
+
+
+@given(st.tuples(_HUGE, _HUGE), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@settings(max_examples=200, deadline=None)
+def test_constant_fill_toeplitz_is_the_named_fixed_point(p, step):
+    """The construction's closed form and the marked morphism's walks agree
+    pointwise and along lines, below 2^62 and past it."""
+    built = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT, fill_letter=0))
+    named = named_word("toeplitz-constant")
+    assert built.letter(p) == named.letter(p)
+    assert built.letters_along(p, step, 9).tolist() == named.letters_along(p, step, 9).tolist()
+
+
 def test_toeplitz_materialization_is_conflict_free():
     for policy, seed in ((CONSTANT, 0), (SEEDED_RANDOM, 7), (SEEDED_RANDOM, 8)):
         tw = ToeplitzWord(ToeplitzSchedule(policy=policy, seed=seed))
@@ -554,7 +568,7 @@ def test_toeplitz_materialization_matches_line_reads():
     tw = ToeplitzWord(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=7, alphabet_size=3))
     grid = tw.materialize(8)
     side = 1 << 9
-    lines = sample_grid(tw.source(), (side, side))
+    lines = sample_grid(toeplitz_construct(tw.schedule), (side, side))
     assert len(grid) == side * side
     assert all(lines[cell] == letter for cell, letter in grid.items())
 
@@ -634,11 +648,20 @@ def test_toeplitz_closed_form_matches_the_recursive_filling(p, seed, k):
     tw = ToeplitzWord(schedule)
     expected = _recursive_toeplitz_letter(schedule, p)
     assert tw.letter(p) == expected
-    assert tw.source().letters_along(p, (1, 0), 1).tolist() == [expected]
+    assert toeplitz_construct(schedule).letters_along(p, (1, 0), 1).tolist() == [expected]
+
+
+def _toeplitz_rows_letter(p: tuple[int, int]) -> int:
+    """Row 0 is 1 0^omega; row y >= 1 has its 1s where 2^v2(y) divides x."""
+    x, y = p
+    return int(x == 0) if y == 0 else int(x % (y & -y) == 0)
 
 
 _REFERENCES = {
     "thue-morse": (thue_morse_word, lambda p: p[0].bit_count() & 1),
+    "toeplitz-rows": (toeplitz_rows_word, _toeplitz_rows_letter),
+    "toeplitz-constant": (lambda: named_word("toeplitz-constant"),
+                          lambda p: int((p[0] | p[1]) % 2 == 0)),
     "gcd-thue-morse": (lambda: gcd_word(thue_morse_word(), 2),
                        lambda p: math.gcd(*p).bit_count() & 1),
     "toeplitz-random": (

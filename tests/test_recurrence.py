@@ -164,6 +164,26 @@ def test_scans_refuse_inputs_before_reading(scan, error):
         scan()
 
 
+_SWEEPS = (check_urd_empirical, check_surd_empirical, check_ssurdo_empirical)
+
+
+@pytest.mark.parametrize("claim", [0, -3, lambda s: 1 if s == (1, 1) else 0],
+                         ids=["zero", "negative", "zero-at-one-size"])
+@pytest.mark.parametrize("scan", [
+    lambda w, claim: gap_report(w, (1, 0), (2, 1), horizon=20, claim=claim),
+    *(lambda w, claim, sweep=sweep: sweep(w, RecurrenceBudget(20, 2, 2), claim=claim)
+      for sweep in _SWEEPS),
+], ids=["gap_report", *(sweep.__name__ for sweep in _SWEEPS)])
+def test_scans_refuse_a_claim_below_1_before_reading(scan, claim):
+    """No gap is below 1, so such a claim is refused, not scanned; a
+    callable claim is checked at every size of the sweep first."""
+    w = preset_word("sierpinski")
+    with mock.patch.object(WordSource, "letters_on_lines", side_effect=AssertionError("read")), \
+            mock.patch.object(WordSource, "letter", side_effect=AssertionError("read")), \
+            pytest.raises(InvalidInput, match="no gap is below 1"):
+        scan(w, claim)
+
+
 def test_origin_changes_the_scanned_block():
     w = preset_word("surd-not-ssurdo-2x2")
     occ = occurrence_indices(w, (1, 0), (1, 1), origin=(7, 3), horizon=100)

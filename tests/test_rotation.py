@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -360,3 +361,20 @@ def test_min_cell_length_and_intersect_with_equal_ends():
     assert b.intersect(IntervalSet([(Fraction(3, 10), SQRT2 - 1)])).components == (
         (QuadExt.rational(Fraction(3, 10)), SQRT2 - 1),)
     assert a.intersect(IntervalSet([(half, 1)])).is_empty()
+
+
+def test_interval_sets_do_not_depend_on_the_order_of_their_components():
+    """lo and lo + 10^-20 round to the same float, so only an exact
+    sort puts the touching components in order and merges them."""
+    lo = SQRT2 - 1
+    near = lo + QuadExt.rational(Fraction(1, 10**20))
+    half = QuadExt.rational(Fraction(1, 2))
+    parts = [(lo, near), (near, half), (Fraction(3, 4), Fraction(4, 5))]
+    expected = ((lo, half), (QuadExt.rational(Fraction(3, 4)), QuadExt.rational(Fraction(4, 5))))
+    for order in itertools.permutations(parts):
+        s = IntervalSet(order)
+        assert s.components == expected
+        assert s == IntervalSet(parts) and hash(s) == hash(IntervalSet(parts))
+    # the two touching components merge into one arc, where three gaps hold
+    for order in (parts[:2], parts[1::-1]):
+        assert three_gap_analysis(SQRT5 - 2, IntervalSet(order), 2000) == {4, 13, 17}
