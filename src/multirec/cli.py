@@ -365,6 +365,8 @@ def cmd_derive(args) -> int:
     scan = None if args.scan_box is None else parse_box(args.scan_box, "--scan-box")
     if scan is not None and len(scan) != len(box):
         raise InvalidInput(f"--scan-box {args.scan_box} and --box {args.box} differ in dimension")
+    if scan is not None and any(a < b for a, b in zip(scan, box)):
+        raise InvalidInput(f"--scan-box {args.scan_box} does not contain --box {args.box}")
     if args.horizon < 0:
         raise InvalidInput(f"bad --horizon {args.horizon}, it must be nonnegative")
     # the box whose lines are read, at most one line per cell

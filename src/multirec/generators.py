@@ -457,55 +457,43 @@ SEEDED_RANDOM = "random"
 
 @dataclass(frozen=True)
 class ToeplitzSchedule:
-    """Parameters of the doubly periodic filling."""
+    """The step-by-step periodic filling.
+
+    Step 0 writes 1 on the even sublattice; step 1 fills the residues
+    (0,1), (1,0), (1,1) modulo 4; step n >= 2 fills every cell of
+    [0, 2^(n+1))^2 still unassigned and repeats it with period 2^(n+2).
+    Steps n >= 1 write 0 under CONSTANT and, under SEEDED_RANDOM, a hash
+    of the seed, n and the class's anchor (the cell modulo the period).
+    In closed form, with o = x | y for the cell (x, y): n = 0 when o is
+    even, n = 1 when bit 1 of o is 0, else the least n >= 2 whose bit
+    n + 1 of o is 0.  ``letter`` evaluates it on ints of any size,
+    ``_letters`` on uint64 arrays; ``materialize`` runs the construction.
+    """
 
     policy: str = CONSTANT
-    fill_letter: int = 0
     seed: int = 0
-    base_letter: int = 1
     alphabet_size: int = 2
 
     def __post_init__(self):
         if self.policy not in (CONSTANT, SEEDED_RANDOM):
             raise ValueError(f"unknown fill policy {self.policy!r}")
-        if not 0 <= self.base_letter < self.alphabet_size:
-            raise ValueError("base letter outside alphabet")
-        if self.policy == CONSTANT and not 0 <= self.fill_letter < self.alphabet_size:
-            raise ValueError("fill letter outside alphabet")
-
-
-class ToeplitzWord:
-    """Evaluator for the step-by-step periodic filling.
-
-    Step 0 writes the base letter on the even sublattice; step 1 fills the
-    residues (0,1), (1,0), (1,1) modulo 4; step n >= 2 fills every cell of
-    [0, 2^(n+1))^2 still unassigned and repeats it with period 2^(n+2).
-    A cell's letter therefore only depends on the step n that filled its
-    class and on the class's anchor, the cell modulo the period.  In closed
-    form, with o = x | y for the cell (x, y): n = 0 when o is even, n = 1
-    when bit 1 of o is 0, else the least n >= 2 whose bit n + 1 of o is 0.
-    ``letter`` evaluates it on ints of any size, ``_letters`` on uint64
-    arrays; ``materialize`` runs the construction itself.
-    """
-
-    def __init__(self, schedule: ToeplitzSchedule):
-        self.schedule = schedule
+        if self.alphabet_size < 2:
+            raise ValueError("a Toeplitz filling needs at least the letters 0 and 1")
 
     def _choice(self, step, x, y) -> np.ndarray:
         """The letters filled at the given steps into the classes anchored
         at (x, y), as int64: ints, or uint64 arrays of x's shape."""
-        s = self.schedule
-        if s.policy == CONSTANT:
-            return np.full(np.shape(x), s.fill_letter, dtype=np.int64)
-        mixed = _mix64(s.seed, step, x, y)
-        mixed %= np.uint64(s.alphabet_size)
+        if self.policy == CONSTANT:
+            return np.zeros(np.shape(x), dtype=np.int64)
+        mixed = _mix64(self.seed, step, x, y)
+        mixed %= np.uint64(self.alphabet_size)
         return mixed.astype(np.int64)
 
     def letter(self, p: Sequence[int]) -> int:
         x, y = p
         o = x | y
         if not o & 1:
-            return self.schedule.base_letter
+            return 1
         if not o & 2:
             step, period = 1, 4
         else:
@@ -533,7 +521,7 @@ class ToeplitzWord:
         mask[first] = np.uint64(4)
         mask -= one
         letters = self._choice(step, x & mask, np.bitwise_and(y, mask, out=mask))
-        letters[(o & one) == zero] = self.schedule.base_letter
+        letters[(o & one) == zero] = 1
         return letters
 
     def materialize(self, steps: int) -> dict[Vector, int]:
@@ -549,8 +537,7 @@ class ToeplitzWord:
         for n in range(steps + 1):
             box = 1 << (n + (n >= 2))
             xs, ys = np.nonzero(grid[:box, :box] < 0)
-            letters = (self._choice(n, xs.astype(np.uint64), ys.astype(np.uint64)).tolist()
-                       if n else [self.schedule.base_letter])
+            letters = self._choice(n, xs.astype(np.uint64), ys.astype(np.uint64)).tolist() if n else [1]
             for x, y, letter in zip(xs.tolist(), ys.tolist(), letters):
                 cls = grid[x::2 * box, y::2 * box]
                 if (cls >= 0).any():
@@ -562,8 +549,8 @@ class ToeplitzWord:
 
 
 def toeplitz_construct(schedule: ToeplitzSchedule) -> WordSource:
-    tw = ToeplitzWord(schedule)
-    return WordSource(2, schedule.alphabet_size, tw.letter, line_builder=_uint64_line(tw._letters),
+    return WordSource(2, schedule.alphabet_size, schedule.letter,
+                      line_builder=_uint64_line(schedule._letters),
                       name=f"toeplitz[{schedule.policy},seed={schedule.seed}]")
 
 
@@ -579,8 +566,8 @@ _WORDS = {
     "gcd-thue-morse": lambda seed: gcd_word(thue_morse_word(), 2),
     "sturmian": lambda seed: sturmian_spec().word(),
     "thue-morse": lambda seed: thue_morse_word(),
-    # The CONSTANT Toeplitz filling with fill letter 0 is 1 exactly where
-    # x | y is even, i.e. p = 0 mod 2: the fixed point of 1 under b -> (1, 0, 0, 0).
+    # The CONSTANT Toeplitz filling is 1 exactly where x | y is even, i.e.
+    # p = 0 mod 2: the fixed point of 1 under b -> (1, 0, 0, 0).
     "toeplitz-constant": lambda seed: Morphism([FiniteWord((2, 2), (1, 0, 0, 0))] * 2).fixed_point(
         1, name="toeplitz[constant,seed=0]"),
     "toeplitz-random": lambda seed: toeplitz_construct(ToeplitzSchedule(SEEDED_RANDOM, seed=seed)),

@@ -31,7 +31,7 @@ Rows = "list[list[int]]"
 def sample_rows(w: WordSource | FiniteWord, box) -> list[list[int]]:
     """Letters of a word or block on [0,box) as bottom-first rows, one
     family read of the rows; only d <= 2.  A 1-D box, word or block gives
-    one row."""
+    one row; a block gives its corner, and a box past it raises IndexError."""
     box = tuple(box)
     if len(box) not in (1, 2):
         raise InvalidInput(f"grid rendering needs 1 or 2 dimensions, got {len(box)}")
@@ -40,7 +40,10 @@ def sample_rows(w: WordSource | FiniteWord, box) -> list[list[int]]:
     else:
         starts = [(0, y) for y in range(box[1] if len(box) == 2 else 1)]
     if isinstance(w, FiniteWord):
-        return [[w[(x, *p[1:])] for x in range(box[0])] for p in starts]
+        if any(b > s for b, s in zip(box, w.size)):
+            raise IndexError(f"box {box} outside block of size {w.size}")
+        rows = w.to_nested() if w.dimension > 1 else [w.to_nested()]
+        return [row[:box[0]] for row in rows[:len(starts)]]
     return w.letters_on_lines(starts, [(1, 0)[:len(starts[0])]], box[0])[:, 0].tolist()
 
 

@@ -42,7 +42,9 @@ def _as_qext(value) -> QuadExt:
 
 @dataclass(frozen=True, slots=True)
 class IntervalSet:
-    """A finite union of disjoint half-open intervals on the circle."""
+    """A finite union of half-open intervals on the circle, stored as
+    disjoint components sorted by their exact starts: an input that
+    touches, overlaps or nests inside the one before it merges into it."""
 
     components: tuple[tuple[QuadExt, QuadExt], ...]
     orientation: str = LOWER
@@ -56,8 +58,8 @@ class IntervalSet:
         comps.sort(key=lambda c: c[0])
         merged: list[tuple[QuadExt, QuadExt]] = []
         for lo, hi in comps:
-            if merged and merged[-1][1] == lo:
-                merged[-1] = (merged[-1][0], hi)
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
         object.__setattr__(self, "components", tuple(merged))
@@ -299,7 +301,9 @@ def occurs_at(spec: RotationWordSpec, f: FiniteWord, p: Sequence[int]) -> bool:
 def three_gap_analysis(delta: QuadExt, interval: IntervalSet, horizon: int) -> set[int]:
     """Distinct gaps between successive l <= horizon with (l*delta) mod 1 in
     the interval set.  The three-distance theorem caps the answer at 3 for
-    irrational delta.
+    irrational delta and one arc, so a set of more than one arc raises
+    ValueError: more than two components, or two that do not meet at the
+    0/1 seam (a wrapped arc is stored as [lo, 1) and [0, hi)).
 
     The orbit runs on the fixed-point circle (``_fixed_line``); any point
     within _GUARD of a component edge or of the 0/1 seam is decided
@@ -307,8 +311,11 @@ def three_gap_analysis(delta: QuadExt, interval: IntervalSet, horizon: int) -> s
     """
     if delta.is_rational():
         raise ValueError("three-gap analysis needs an irrational angle")
+    comps = interval.components
+    if len(comps) > 2 or (len(comps) == 2 and not (comps[0][0].is_zero() and comps[1][1] == ONE)):
+        raise ValueError(f"three-gap analysis needs one arc, not {len(comps)} components")
     # component ends as uint64; an end at 1 is never below a point
-    ends = np.array([e for c in interval.components for e in map(_fixed, c)
+    ends = np.array([e for c in comps for e in map(_fixed, c)
                      if e < _UNIT], dtype=np.uint64)
     ells = np.arange(horizon + 1, dtype=np.int64)
     x, exact = (a[0] for a in _fixed_line([0], [_fixed(delta)], ells, ends, [0], [1]))

@@ -321,7 +321,7 @@ def test_criterion_11_counterexample_words():
 
 
 def test_criterion_12_toeplitz_construction():
-    tw = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT, fill_letter=0))
+    tw = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT))
     marked = FiniteWord((2, 2), (1, 0, 0, 0))
     phi = Morphism([marked, marked])
     fixed = phi.fixed_point(1)

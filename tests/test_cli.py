@@ -534,7 +534,8 @@ def test_a_negative_derive_horizon_exits_1_naming_the_flag(capsys, no_reads):
 @pytest.mark.parametrize("extra, flags", [
     (["--box", "4x3", "--scan-box", "garbage"], ["--scan-box", "--scheme uniform"]),
     (["--box", "4x3", "--scheme", "uniform", "--scan-box", "5"], ["--scan-box 5", "--box 4x3"]),
-], ids=["per-direction", "dimension"])
+    (["--box", "4x4", "--scheme", "uniform", "--scan-box", "3x3"], ["--scan-box 3x3", "--box 4x4"]),
+], ids=["per-direction", "dimension", "containment"])
 def test_derive_refuses_a_scan_box_it_cannot_use(capsys, no_reads, extra, flags):
     code, out, err = run(capsys, "derive", "--word", "surd-not-ssurdo-2x2", "--size", "1x2", *extra)
     assert code == 1

@@ -21,7 +21,6 @@ from multirec.generators import (
     WORD_NAMES,
     Morphism,
     ToeplitzSchedule,
-    ToeplitzWord,
     fib_rows_word,
     fibonacci_word,
     gcd_word,
@@ -533,7 +532,7 @@ def test_fib_rows_corner_prefix_sticks_to_column_zero():
 
 
 def test_constant_fill_toeplitz_is_morphic():
-    w = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT, fill_letter=0))
+    w = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT))
     marked = FiniteWord((2, 2), (1, 0, 0, 0))
     phi = Morphism([marked, marked])
     fp = phi.fixed_point(1)
@@ -549,26 +548,33 @@ _HUGE = st.integers(0, 300) | st.integers(0, 1 << 62) | st.integers(0, 10**30)
 def test_constant_fill_toeplitz_is_the_named_fixed_point(p, step):
     """The construction's closed form and the marked morphism's walks agree
     pointwise and along lines, below 2^62 and past it."""
-    built = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT, fill_letter=0))
+    built = toeplitz_construct(ToeplitzSchedule(policy=CONSTANT))
     named = named_word("toeplitz-constant")
     assert built.letter(p) == named.letter(p)
     assert built.letters_along(p, step, 9).tolist() == named.letters_along(p, step, 9).tolist()
 
 
+@pytest.mark.parametrize("kwargs", [{"policy": "shuffled"}, {"alphabet_size": 1}],
+                         ids=["unknown-policy", "one-letter"])
+def test_toeplitz_schedule_refuses_what_it_cannot_fill(kwargs):
+    with pytest.raises(ValueError):
+        ToeplitzSchedule(**kwargs)
+
+
 def test_toeplitz_materialization_is_conflict_free():
     for policy, seed in ((CONSTANT, 0), (SEEDED_RANDOM, 7), (SEEDED_RANDOM, 8)):
-        tw = ToeplitzWord(ToeplitzSchedule(policy=policy, seed=seed))
-        grid = tw.materialize(4)
+        schedule = ToeplitzSchedule(policy=policy, seed=seed)
+        grid = schedule.materialize(4)
         assert len(grid) == 32 * 32
         for cell, letter in grid.items():
-            assert tw.letter(cell) == letter
+            assert schedule.letter(cell) == letter
 
 
 def test_toeplitz_materialization_matches_line_reads():
-    tw = ToeplitzWord(ToeplitzSchedule(policy=SEEDED_RANDOM, seed=7, alphabet_size=3))
-    grid = tw.materialize(8)
+    schedule = ToeplitzSchedule(policy=SEEDED_RANDOM, seed=7, alphabet_size=3)
+    grid = schedule.materialize(8)
     side = 1 << 9
-    lines = sample_grid(toeplitz_construct(tw.schedule), (side, side))
+    lines = sample_grid(toeplitz_construct(schedule), (side, side))
     assert len(grid) == side * side
     assert all(lines[cell] == letter for cell, letter in grid.items())
 
@@ -622,9 +628,9 @@ def _recursive_fill_of(p: tuple[int, int]) -> tuple[int, tuple[int, int]]:
 def _recursive_toeplitz_letter(schedule: ToeplitzSchedule, p: tuple[int, int]) -> int:
     step, cell = _recursive_fill_of(tuple(p))
     if step == 0:
-        return schedule.base_letter
+        return 1
     if schedule.policy == CONSTANT:
-        return schedule.fill_letter
+        return 0
     return _scalar_mix64(schedule.seed, step, *cell) % schedule.alphabet_size
 
 
@@ -645,9 +651,8 @@ def toeplitz_points(draw):
 @settings(max_examples=300, deadline=None)
 def test_toeplitz_closed_form_matches_the_recursive_filling(p, seed, k):
     schedule = ToeplitzSchedule(policy=SEEDED_RANDOM, seed=seed, alphabet_size=k)
-    tw = ToeplitzWord(schedule)
     expected = _recursive_toeplitz_letter(schedule, p)
-    assert tw.letter(p) == expected
+    assert schedule.letter(p) == expected
     assert toeplitz_construct(schedule).letters_along(p, (1, 0), 1).tolist() == [expected]
 
 

@@ -147,3 +147,10 @@ def test_sample_rows_of_blocks(width, height, data):
     ]
     line = FiniteWord((width,), cells[:width])
     assert sample_rows(line, line.size) == [cells[:width]]
+    corner = (data.draw(st.integers(1, width)), data.draw(st.integers(1, height)))
+    assert sample_rows(block, corner) == [
+        [block[(x, y)] for x in range(corner[0])] for y in range(corner[1])
+    ]
+    for past in ((width + 1, height), (width, height + 1)):
+        with pytest.raises(IndexError):
+            sample_rows(block, past)

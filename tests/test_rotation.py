@@ -378,3 +378,71 @@ def test_interval_sets_do_not_depend_on_the_order_of_their_components():
     # the two touching components merge into one arc, where three gaps hold
     for order in (parts[:2], parts[1::-1]):
         assert three_gap_analysis(SQRT5 - 2, IntervalSet(order), 2000) == {4, 13, 17}
+
+
+def test_overlapping_and_nested_components_merge():
+    s = IntervalSet([(Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 5), Fraction(3, 10))])
+    assert s == IntervalSet([(Fraction(1, 10), Fraction(1, 2))])
+    assert len(s.components) == 1
+    assert three_gap_analysis(SQRT5 - 2, s, 300) == {1, 3, 4}
+    t = IntervalSet([(Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 10), Fraction(1, 2))])
+    assert t.components == ((QuadExt.rational(Fraction(1, 10)), QuadExt.rational(Fraction(3, 4))),)
+
+
+def test_three_gap_analysis_refuses_more_than_one_arc():
+    two_arcs = IntervalSet([(Fraction(1, 7), Fraction(2, 7)), (Fraction(3, 7), Fraction(5, 7))])
+    with pytest.raises(ValueError, match="one arc"):
+        three_gap_analysis(SQRT5 - 2, two_arcs, 2000)
+    three = IntervalSet([(0, Fraction(1, 7)), (Fraction(3, 7), Fraction(4, 7)), (Fraction(6, 7), 1)])
+    with pytest.raises(ValueError, match="one arc"):
+        three_gap_analysis(SQRT5 - 2, three, 2000)
+
+
+_TWELFTHS = st.integers(0, 12).map(lambda k: Fraction(k, 12))
+
+
+def _in_union(pieces, x: Fraction, orientation: str) -> bool:
+    if orientation == UPPER:
+        x = x or Fraction(1)
+        return any(lo < x <= hi for lo, hi in pieces)
+    return any(lo <= x < hi for lo, hi in pieces)
+
+
+@given(st.lists(st.tuples(_TWELFTHS, _TWELFTHS), max_size=5), st.sampled_from([LOWER, UPPER]))
+@settings(max_examples=100, deadline=None)
+def test_interval_set_components_are_sorted_apart_and_keep_membership(pieces, orientation):
+    s = IntervalSet(pieces, orientation)
+    for (_, hi), (lo, _) in zip(s.components, s.components[1:]):
+        assert hi < lo
+    assert all(lo < hi for lo, hi in s.components)
+    for k in range(48):
+        x = Fraction(k, 48)
+        assert s.contains(QuadExt.rational(x)) == _in_union(pieces, x, orientation)
+
+
+@st.composite
+def one_arc_pieces(draw):
+    """Pieces, in 24ths of the circle, that overlap, nest and touch so that
+    their union is one arc [start, start + length), cut at the seam."""
+    start, length = draw(st.integers(0, 23)), draw(st.integers(1, 23))
+    end = start + length
+    cuts = sorted(set(draw(st.lists(st.integers(start + 1, end - 1), max_size=3)))) if length > 1 else []
+    bounds = [start, *cuts, end]
+    units = [(a, min(end, b + draw(st.integers(0, 2)))) for a, b in zip(bounds, bounds[1:])]
+    units += [(a, a + 1) for a in draw(st.lists(st.integers(start, end - 1), max_size=2))]
+    pieces = []
+    for a, b in units:
+        a, b = (a - 24, b - 24) if a >= 24 else (a, b)
+        pieces += [(a, 24), (0, b - 24)] if b > 24 else [(a, b)]
+    pieces = [(Fraction(a, 24), Fraction(b, 24)) for a, b in pieces]
+    return draw(st.permutations(pieces))
+
+
+@given(one_arc_pieces(), st.sampled_from([LOWER, UPPER]))
+@settings(max_examples=40, deadline=None)
+def test_three_gap_analysis_on_one_arc_matches_the_visits(pieces, orientation):
+    delta, horizon = SQRT2 - 1, 300
+    s = IntervalSet(pieces, orientation)
+    assert len(s.components) <= 2
+    visits = [ell for ell in range(horizon + 1) if s.contains((delta * ell).mod1())]
+    assert three_gap_analysis(delta, s, horizon) == set(np.diff(visits).tolist())
