@@ -175,9 +175,11 @@ def cmd_generate(args) -> int:
         if args.iterate < 0:
             raise InvalidInput(f"bad --iterate {args.iterate}, it must be nonnegative")
         phi = _morphism(args)
-        # capped exponent: a huge --iterate is refused, not computed
-        _check_read_size(f"--iterate {args.iterate}", math.prod(phi.dims) ** min(args.iterate, 64))
-        w = phi.iterate(args.letter, args.iterate)
+        # capped exponent: a huge --iterate is refused, not computed; the
+        # levels count too, since a one-cell image never grows
+        n = args.iterate
+        _check_read_size(f"--iterate {n}", max(math.prod(phi.dims) ** min(n, 64), n))
+        w = phi.iterate(args.letter, n)
         box, k = w.size, max(phi.alphabet_size, 2)
     else:
         if args.box is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,12 +53,10 @@ class CodeTable:
     order: tuple[ReturnWordT, ...]
     size: Vector
     alphabet_size: int
-    _index: dict = field(repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {rw: c for c, rw in enumerate(self.order)}
-        )
+    @cached_property
+    def _index(self) -> dict[ReturnWordT, int]:
+        return {rw: c for c, rw in enumerate(self.order)}
 
     def __len__(self) -> int:
         return len(self.order)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
@@ -64,11 +65,14 @@ def _ndigits(n: int, base: int) -> int:
     return count
 
 
+@dataclass(frozen=True)
 class Morphism:
     """A constant-size substitution over the alphabet {0, ..., k-1}.
 
     Every letter maps to a block of the same size (s_1, ..., s_d); square
-    morphisms have all s_j equal.  Fixed points are read digit by digit
+    morphisms have all s_j equal.  The images are the one field: a
+    morphism is frozen, equal to and hashed as its images, and everything
+    else is derived from them.  Fixed points are read digit by digit
     (mixed radix s_j, most significant first) by two walks: the pure-Python
     ``letter_in_fixed_point``, exact at any coordinate size, for single
     letters and as the tests' reference; and the numpy ``_walk`` for whole
@@ -78,17 +82,18 @@ class Morphism:
     base-s_j digits as one base-s_j^m digit, from a flat table of the
     images phi^m(b), with m the largest such that phi^m(b) has at most
     ``_TABLE_CELLS`` cells (m = 6 for 2x2, 3 for 3x3, 12 for a 1-D s = 2).
-    The table is built at the first line read, for every letter at once by
-    squaring.  A line spanning at least ``_WALK_BLOCKS`` blocks of
-    B = lcm(s_j^m) multipliers reads every letter with one gather from the
-    letters of a few lines B times shorter, those of its high digits (see
-    ``_walk``); shorter lines take one gather per m digits (``_chunk_walk``).
+    The table (the cached ``_chunk_table``) is built at the first line
+    read, for every letter at once by squaring.  A line spanning at least
+    ``_WALK_BLOCKS`` blocks of B = lcm(s_j^m) multipliers reads every letter
+    with one gather from the letters of a few lines B times shorter, those
+    of its high digits (see ``_walk``); shorter lines take one gather per m
+    digits (``_chunk_walk``).
     """
 
-    __slots__ = ("images", "dims", "_cells", "_strides", "_chunks")
+    images: tuple[FiniteWord, ...]
 
-    def __init__(self, images: Sequence[FiniteWord]):
-        images = tuple(images)
+    def __post_init__(self):
+        images = tuple(self.images)
         if not images:
             raise ValueError("morphism needs at least one image")
         dims = images[0].size
@@ -98,14 +103,11 @@ class Morphism:
                 raise ValueError(f"image sizes differ: {img.size} vs {dims}")
             if any(not 0 <= c < k for c in img.cells):
                 raise ValueError("image letter outside alphabet")
-        self.images = images
-        self.dims = dims
-        self._cells = tuple(img.cells for img in images)
-        strides = [1]
-        for s in dims[:-1]:
-            strides.append(strides[-1] * s)
-        self._strides = tuple(strides)
-        self._chunks: tuple[int, np.ndarray, list[int], int] | None = None
+        object.__setattr__(self, "images", images)
+
+    @property
+    def dims(self) -> Vector:
+        return self.images[0].size
 
     @property
     def alphabet_size(self) -> int:
@@ -139,22 +141,23 @@ class Morphism:
     def letter_in_fixed_point(self, a: int, p: Sequence[int]) -> int:
         if not self.is_prolongable(a):
             raise NotProlongable(f"image of {a} does not start with {a}")
-        cells = self._cells
+        images = self.images
         dims = self.dims
-        strides = self._strides
         offsets = []
         p = tuple(p)
         while any(p):
             off = 0
+            stride = 1
             nxt = []
-            for c, s, st in zip(p, dims, strides):
-                off += (c % s) * st
+            for c, s in zip(p, dims):
+                off += (c % s) * stride
+                stride *= s
                 nxt.append(c // s)
             offsets.append(off)
-            p = tuple(nxt)
+            p = nxt
         letter = a
         for off in reversed(offsets):
-            letter = cells[letter][off]
+            letter = images[letter].cells[off]
         return letter
 
     def iterate(self, b: int, n: int) -> FiniteWord:
@@ -172,27 +175,29 @@ class Morphism:
 
     def _powers(self, n: int) -> np.ndarray:
         """phi^n of every letter, n >= 1, as a (k, s_d^n, ..., s_1^n) int64
-        grid, by squaring: phi^6 is phi^3 squared, 3 gathers in all."""
-        if n == 1:
-            return np.array(self._cells, dtype=np.int64).reshape(-1, *self.dims[::-1])
-        half = self._powers(n // 2)
-        square = _expand(half, half)
-        return _expand(square, self._powers(1)) if n % 2 else square
+        grid, by squaring along the bits of n after the leading one: phi^6
+        is phi^3 squared and phi^3 is phi squared times phi, 3 gathers in all."""
+        cells = [img.cells for img in self.images]
+        grid = phi = np.array(cells, dtype=np.int64).reshape(-1, *self.dims[::-1])
+        for bit in bin(n)[3:]:
+            grid = _expand(grid, grid)
+            if bit == "1":
+                grid = _expand(grid, phi)
+        return grid
 
+    @cached_property
     def _chunk_table(self) -> tuple[int, np.ndarray, list[int], int]:
         """(m, table, radices, B): table[b * cells + off] is the letter of
         phi^m(b) at mixed-radix offset off (first coordinate fastest),
         stored in the smallest unsigned dtype that holds the alphabet; the
         radices are r_j = s_j^m, cells their product and B their lcm."""
-        if self._chunks is None:
-            cells = math.prod(self.dims)
-            m = 1
-            while cells > 1 and cells ** (m + 1) <= _TABLE_CELLS:
-                m += 1
-            table = self._powers(m).ravel().astype(np.min_scalar_type(self.alphabet_size - 1))
-            radices = [s ** m for s in self.dims]
-            self._chunks = (m, table, radices, math.lcm(*radices))
-        return self._chunks
+        cells = math.prod(self.dims)
+        m = 1
+        while cells > 1 and cells ** (m + 1) <= _TABLE_CELLS:
+            m += 1
+        table = self._powers(m).ravel().astype(np.min_scalar_type(self.alphabet_size - 1))
+        radices = [s ** m for s in self.dims]
+        return m, table, radices, math.lcm(*radices)
 
     def power(self, i: int) -> "Morphism":
         """The morphism b -> iterate(b, i), of size (s_1^i, ..., s_d^i)."""
@@ -231,7 +236,7 @@ class Morphism:
         reading fewer than half of the multipliers they span, are read chunk
         by chunk instead.
         """
-        _, table, radices, block = self._chunk_table()
+        _, table, radices, block = self._chunk_table
         if len(ells) < _WALK_BLOCKS * block:
             return self._chunk_walk(a, starts, steps, ells)
         first, last = ells.min().item() // block, ells.max().item() // block
@@ -275,7 +280,7 @@ class Morphism:
         (prolongability), so every position is padded to the depth of the
         largest coordinate and the walk runs as one table gather per chunk
         of m digits over all lines, most significant chunk first."""
-        _, table, radices, _ = self._chunk_table()
+        _, table, radices, _ = self._chunk_table
         cells = math.prod(radices)
         top = (starts + steps * ells.max()).max().item()
         # Chunk offsets into phi^m(b), least significant chunk first.
@@ -299,12 +304,6 @@ class Morphism:
             # count from wrapping under any numpy promotion rules.
             index = np.multiply(letters, cells, dtype=np.int64)
         return letters
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Morphism) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         shape = "x".join(map(str, self.dims))

@@ -157,6 +157,7 @@ class FiniteWord:
         return f"FiniteWord({shape}, {''.join(map(str, self.cells))})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class WordSource:
     """An infinite word w: N^d -> A behind a pure evaluator.
 
@@ -181,26 +182,22 @@ class WordSource:
     orbits, morphic digit walks (Thue-Morse among them), gcd placements
     and the Toeplitz filling have builders.  Evaluators must be
     deterministic; internal memoization is allowed but invisible.
+
+    Words are frozen and compare by identity: equal letters need not come
+    from equal evaluators.
     """
 
-    __slots__ = ("dimension", "alphabet_size", "_evaluator", "_line_builder", "name")
-
-    def __init__(self, dimension: int, alphabet_size: int,
-                 evaluator: Callable[[Vector], int],
-                 line_builder: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-                 | None = None,
-                 name: str = "word"):
-        self.dimension = dimension
-        self.alphabet_size = alphabet_size
-        self._evaluator = evaluator
-        self._line_builder = line_builder
-        self.name = name
+    dimension: int
+    alphabet_size: int
+    evaluator: Callable[[Vector], int]
+    line_builder: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    name: str = "word"
 
     def letter(self, p: Sequence[int]) -> int:
         p = tuple(p)
         _check_dims(self.dimension, len(p))
         _check_domain(p)
-        return self._evaluator(p)
+        return self.evaluator(p)
 
     def letters_along(self, start: Sequence[int], step: Sequence[int],
                       multipliers: int | Sequence[int]) -> np.ndarray:
@@ -236,7 +233,7 @@ class WordSource:
                         (starts[0], steps[0]))
             raise InvalidInput(f"the line {p} + ell*{q} for ell in [{lo}, {hi}] "
                                f"leaves N^{self.dimension}")
-        build = self._line_builder
+        build = self.line_builder
         if build is not None and max(map(max, starts)) + max(map(max, steps)) * max(hi, 1) < _REACH:
             # start-major: each start once per step, beside the steps in turn
             starts = np.repeat(np.array(starts, dtype=np.int64), shape[1], axis=0)
@@ -245,7 +242,7 @@ class WordSource:
         ells = list(map(int, multipliers))
         points = (tuple(s + t * ell for s, t in zip(p, q))
                   for p in starts for q in steps for ell in ells)
-        out = np.fromiter(map(self._evaluator, points), dtype=np.int64, count=math.prod(shape))
+        out = np.fromiter(map(self.evaluator, points), dtype=np.int64, count=math.prod(shape))
         return out.reshape(shape)
 
     def __repr__(self) -> str:
@@ -277,7 +274,7 @@ def factor_at(w: WordSource, p: Sequence[int], s: Sequence[int]) -> FiniteWord:
     s = tuple(s)
     _check_dims(w.dimension, len(p), len(s))
     _check_domain(p)
-    ev = w._evaluator
+    ev = w.evaluator
     return FiniteWord(s, [ev(vec_add(p, i)) for i in iter_box(s)])
 
 

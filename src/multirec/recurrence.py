@@ -411,6 +411,10 @@ def check_ur_empirical(
         if sizes is None
         else [tuple(s) for s in sizes]
     )
+    if not size_list:
+        return []
+    # refused as a urd scan would refuse them: a length other than d, or a side below 1
+    check_scan([(1,) + (0,) * (d - 1)], size_list, budget.block_bound)
     max_s = max(max(s) for s in size_list)
     side = 2 * budget.block_bound + max_s
     grid = sample_grid(w, (side,) * d)

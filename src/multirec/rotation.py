@@ -285,10 +285,7 @@ def factor_interval_set(spec: RotationWordSpec, f: FiniteWord) -> IntervalSet:
     out = IntervalSet.full(spec.partition.orientation)
     for i in f.positions():
         cell = spec.partition.cell(f[i])
-        shift = ZERO
-        for c, a in zip(i, spec.alpha, strict=True):
-            shift = shift + a * c
-        out = out.intersect(cell.rotate_back(shift.mod1()))
+        out = out.intersect(cell.rotate_back(spec.angle_along(i)))
         if out.is_empty():
             break
     return out

@@ -608,6 +608,28 @@ def test_generate_refuses_a_morphism_with_a_side_of_1(tmp_path, capsys, no_reads
     assert "side" in err
 
 
+_ONE_CELL = {"k": 2, "dims": [1, 1], "images": {"0": [[1]], "1": [[0]]}}
+
+
+def test_iterate_refuses_too_many_levels_of_a_one_cell_morphism(tmp_path, capsys, no_reads):
+    """Its image has one letter at every level, so the refusal counts the
+    substitution levels as well as the letters."""
+    path = tmp_path / "one-cell.json"
+    path.write_text(json.dumps(_ONE_CELL))
+    code, out, err = run(capsys, "generate", "--morphism", str(path), "--iterate", "1000000000")
+    assert code == 1
+    assert out == ""
+    assert "the limit of" in err
+
+
+def test_iterate_on_a_one_cell_morphism(tmp_path, capsys):
+    path = tmp_path / "one-cell.json"
+    path.write_text(json.dumps(_ONE_CELL))
+    code, out, _ = run(capsys, "generate", "--morphism", str(path), "--iterate", "3")
+    assert code == 0
+    assert out == "0\n"
+
+
 @pytest.mark.parametrize("data, field", [
     ({}, "has no 'k'"),
     ({"k": 2}, "has no 'dims'"),

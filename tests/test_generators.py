@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -270,11 +271,26 @@ def test_chunk_depth_and_table_are_set_at_the_first_line_read():
         cells = math.prod(dims)
         m = Morphism([FiniteWord(dims, [0] * cells), FiniteWord(dims, [1] * cells)])
         w = m.fixed_point(0)
-        assert m._chunks is None
+        assert "_chunk_table" not in m.__dict__
         w.letters_along((0,) * len(dims), (1,) * len(dims), 3)
-        assert m._chunks[0] == depth == _chunk_depth(dims)
-        assert m._chunks[1].dtype == np.uint8
-        assert m._chunks[1].shape == (2 * cells ** depth,)
+        assert "_chunk_table" in m.__dict__
+        assert m._chunk_table[0] == depth == _chunk_depth(dims)
+        assert m._chunk_table[1].dtype == np.uint8
+        assert m._chunk_table[1].shape == (2 * cells ** depth,)
+
+
+def test_morphism_and_word_source_are_frozen():
+    """A morphism is its images: two built apart are equal, hash alike and
+    make one dict key.  A word is equal only to itself."""
+    phi, twin = load_preset("surd-not-ssurdo-2x2"), load_preset("surd-not-ssurdo-2x2")
+    assert phi is not twin and phi == twin and hash(phi) == hash(twin)
+    assert len({phi: 0, twin: 1}) == 1
+    assert phi != phi.power(2)
+    w = WordSource(2, 2, phi.fixed_point(1).letter, name="twin")
+    assert w != WordSource(2, 2, w.evaluator, name="twin")
+    for obj, attr in ((phi, "images"), (w, "name"), (w, "evaluator")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, None)
 
 
 def test_chunked_walk_with_letters_beyond_a_uint16_table_index():
@@ -332,7 +348,7 @@ def _check_walk(m: Morphism, a: int, starts, steps, first: int, n: int, rng) -> 
 
 def _walk_threshold(m: Morphism) -> int:
     """The fewest multipliers a line spans for the walk to split it."""
-    return generators._WALK_BLOCKS * m._chunk_table()[3]
+    return generators._WALK_BLOCKS * m._chunk_table[3]
 
 
 @given(prolongable_box_morphisms(), st.data())
@@ -351,7 +367,7 @@ def test_block_walk_matches_pointwise_letters_on_long_lines(m, data):
     step = [data.draw(st.integers(0, 3)) for _ in m.dims]
     top = first + n - 1
     start = []
-    for r, q in zip(m._chunk_table()[2], step):
+    for r, q in zip(m._chunk_table[2], step):
         edges = [r, r * r] + ([_FAR - 3 - 3 * top] if q == 0 else [])
         start.append(data.draw(st.integers(0, 99) | st.sampled_from(edges).flatmap(_near)))
     assert max(start) + max(step) * top < _FAR, "the line must go to the builder"
@@ -406,12 +422,12 @@ def test_a_survey_table_is_thirteen_builder_calls_of_four_lines():
 
     def recorded(starts, steps, ells):
         calls.append((len(starts), len(steps), len(ells)))
-        return w._line_builder(starts, steps, ells)
+        return w.line_builder(starts, steps, ells)
 
     starts = list(iter_box((2, 2)))
     steps = [q for q in itertools.product(range(5), repeat=2) if math.gcd(*q) == 1]
     assert len(steps) == 13
-    out = WordSource(2, w.alphabet_size, w._evaluator, recorded).letters_on_lines(
+    out = WordSource(2, w.alphabet_size, w.evaluator, recorded).letters_on_lines(
         starts, steps, 4001)
     assert calls == [(4, 4, 4001)] * 13
     rng = random.Random(13)
@@ -454,7 +470,7 @@ def test_squared_table_and_powers_match_the_one_letter_substitution(phi):
     """The table and power(i) are built for every letter at once by
     squaring; iterate substitutes one letter one level at a time."""
     k = phi.alphabet_size
-    depth, table, _, _ = phi._chunk_table()
+    depth, table, _, _ = phi._chunk_table
     expected = [c for b in range(k) for c in phi.iterate(b, depth).cells]
     assert table.dtype == np.min_scalar_type(k - 1)
     assert table.tolist() == expected
@@ -469,7 +485,7 @@ def test_one_cell_morphisms_end_their_table_depth():
     phi = Morphism([one])
     assert phi.power(3).images == (one,)
     assert phi.iterate(0, 5) == one
-    depth, table, radices, block = phi._chunk_table()
+    depth, table, radices, block = phi._chunk_table
     assert (depth, table.tolist(), radices, block) == (1, [0], [1, 1], 1)
 
 

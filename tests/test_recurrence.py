@@ -381,6 +381,22 @@ def test_constant_word_is_covered_at_its_own_size():
         assert report.window == max(report.size)
 
 
+@pytest.mark.parametrize("sizes, error", [
+    ([(0, 1)], InvalidInput),
+    ([(-1, 2)], InvalidInput),
+    ([(2,)], DimensionError),
+    ([(1, 1, 1)], DimensionError),
+    ([(1, 1), (2, 0)], InvalidInput),
+], ids=["zero-side", "negative-side", "short", "long", "second-size"])
+def test_ur_refuses_the_sizes_urd_refuses_before_reading(sizes, error):
+    w = preset_word("sierpinski")
+    with mock.patch.object(WordSource, "letters_on_lines", side_effect=AssertionError("read")):
+        for scan in (check_ur_empirical, check_urd_empirical):
+            with pytest.raises(error):
+                scan(w, RecurrenceBudget(20, 2, 2, 1, 16), sizes=sizes)
+        assert check_ur_empirical(w, sizes=[]) == []
+
+
 def test_urd_sweep_memory_is_set_by_its_table_not_its_reports():
     """Five 1x1 reports on the Sturmian word to horizon 2^18 - 1.  A
     slice of the match table (2^19 int64 letters) peaks at about 5.9 MiB;

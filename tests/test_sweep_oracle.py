@@ -236,9 +236,9 @@ def test_slices_and_reads_stay_within_their_caps(slice_letters):
 
     def recorded(starts, steps, ells):
         calls.append((starts.tolist(), steps.tolist(), ells.tolist()))
-        return plain._line_builder(starts, steps, ells)
+        return plain.line_builder(starts, steps, ells)
 
-    w = WordSource(plain.dimension, plain.alphabet_size, plain._evaluator, recorded)
+    w = WordSource(plain.dimension, plain.alphabet_size, plain.evaluator, recorded)
     budget = RecurrenceBudget(2000, 3, 2, 1)
     reads = []
     read = WordSource.letters_on_lines
